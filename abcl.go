@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/parexec"
 	"repro/internal/profile"
 	"repro/internal/remote"
 	"repro/internal/sim"
@@ -190,7 +189,6 @@ type settings struct {
 	placement   Placement
 	seed        int64
 	machine     *machine.Config
-	traceCap    int
 	faults      FaultPlan
 	exec        ExecutorSpec
 	reliable    bool // ack/retry protocol even without faults
@@ -266,28 +264,13 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithTrace enables runtime event tracing into a ring buffer of capacity
-// events, available as System.Trace.
-//
-// Deprecated: use WithObserver(trace.NewRing(capacity)) — the ring buffer is
-// now one Sink among several. WithTrace remains as a shorthand that also
-// populates the System.Trace field.
-func WithTrace(capacity int) Option {
-	return func(s *settings) error {
-		if capacity <= 0 {
-			return fmt.Errorf("abcl: WithTrace(%d): capacity must be positive", capacity)
-		}
-		s.traceCap = capacity
-		return nil
-	}
-}
-
 // WithObserver attaches a trace sink to the runtime: every scheduler, wire,
 // reliable-protocol and checkpoint event is delivered to it synchronously, in
-// the simulation's single deterministic event order. Multiple observers (or
-// an observer plus WithTrace) compose via trace.Tee. Sinks must not retain
-// the Event or any memory reachable from it beyond the call; see the trace
-// package for the full contract. Incompatible with the parallel executors
+// the simulation's single deterministic event order. Multiple observers
+// compose via trace.Tee; a trace.NewRing(n) kept by the caller holds the
+// last n events for a dump after the run. Sinks must not retain the Event
+// or any memory reachable from it beyond the call; see the trace package
+// for the full contract. Incompatible with the parallel executors
 // (WithExecutor): parallel windows have no single global interleaving to
 // observe.
 func WithObserver(sink trace.Sink) Option {
@@ -455,9 +438,9 @@ func WithoutLocationCache() Option {
 // forces), the recovered run delivers every message exactly once and
 // produces the same application results as a fault-free run. A crash plan
 // without WithCheckpoint recovers from an automatic baseline checkpoint
-// taken before execution starts (restart-from-the-beginning). Incompatible
-// with the Conservative executor — a restore touches every event lane at
-// once — but works under Optimistic, which fences the marker rounds.
+// taken before execution starts (restart-from-the-beginning). Works under
+// every executor: the parallel ones fence the marker rounds and the restarts
+// (a restore touches every event lane at once), firing them serially.
 func WithCheckpoint(interval Time) Option {
 	return func(s *settings) error {
 		if interval <= 0 {
@@ -528,7 +511,10 @@ func Sequential() ExecutorSpec { return ExecutorSpec{kind: execSequential} }
 // Conservative selects the conservative parallel executor with the given
 // worker count: node event lanes whose next events fall inside one
 // minimum-wire-latency lookahead window fire concurrently, then the engine
-// barriers and advances. Results are identical to the sequential engine
+// barriers and advances. It is the zero-speculation preset of the window
+// driver Optimistic uses — a speculation ceiling equal to the lookahead —
+// so it takes no snapshots, never rolls back, and keeps packet, frame and
+// wire-record pooling on. Results are identical to the sequential engine
 // (same final state, same statistics); only wall-clock time differs.
 // workers <= 1 selects the sequential engine.
 func Conservative(workers int) ExecutorSpec {
@@ -554,12 +540,9 @@ func Optimistic(workers int, opt OptimisticOptions) ExecutorSpec {
 }
 
 // WithExecutor picks the execution strategy (default Sequential). The
-// parallel executors are incompatible with WithTrace/WithObserver — the
-// trace contract is a single global interleaving that parallel windows do
-// not have — and Conservative is additionally incompatible with
-// WithCheckpoint or a crash plan (a restore touches every event lane at
-// once; Optimistic handles both by fencing the checkpoint protocol).
-// WithProfiler requires Sequential or Conservative.
+// parallel executors are incompatible with WithObserver — the trace
+// contract is a single global interleaving that parallel windows do not
+// have — and WithProfiler requires Sequential or Conservative.
 func WithExecutor(e ExecutorSpec) Option {
 	return func(s *settings) error {
 		if e.workers < 0 {
@@ -582,28 +565,11 @@ func WithExecutor(e ExecutorSpec) Option {
 	}
 }
 
-// WithParallelSim runs the simulation on the conservative parallel executor
-// with the given worker count.
-//
-// Deprecated: use WithExecutor(Conservative(workers)); WithParallelSim
-// remains as an exact alias.
-func WithParallelSim(workers int) Option {
-	return func(s *settings) error {
-		if workers < 0 {
-			return fmt.Errorf("abcl: WithParallelSim(%d): worker count must be non-negative", workers)
-		}
-		s.exec = Conservative(workers)
-		return nil
-	}
-}
-
 // System is a complete simulated multicomputer running the ABCL runtime.
 type System struct {
 	M   *machine.Machine
 	RT  *core.Runtime
 	Net *remote.Layer
-	// Trace holds runtime events when tracing was enabled (WithTrace).
-	Trace *trace.Ring
 
 	seed        int64
 	faults      FaultPlan
@@ -653,14 +619,10 @@ func NewSystem(opts ...Option) (*System, error) {
 	// per-link sequence space.
 	ckptOn := s.ckptEvery > 0 || len(s.faults.Crashes) > 0
 	reliable := s.reliable || s.faults.Enabled() || ckptOn
-	parallel := s.exec.workers > 1 &&
-		(s.exec.kind == execConservative || s.exec.kind == execOptimistic)
+	parallel := s.exec.workers > 1 && s.exec.kind != execSequential
 	optimistic := s.exec.kind == execOptimistic && s.exec.workers > 1
-	if (s.observer != nil || s.traceCap > 0) && parallel {
-		errs = append(errs, fmt.Errorf("abcl: WithTrace/WithObserver and a parallel executor (WithExecutor) are incompatible: observers see a single global event interleaving"))
-	}
-	if ckptOn && parallel && !optimistic {
-		errs = append(errs, fmt.Errorf("abcl: WithCheckpoint (or a crash plan) and the Conservative executor are incompatible: a restore touches every event lane at once (the Optimistic executor supports checkpointing)"))
+	if s.observer != nil && parallel {
+		errs = append(errs, fmt.Errorf("abcl: WithObserver and a parallel executor (WithExecutor) are incompatible: observers see a single global event interleaving"))
 	}
 	if s.prof != nil && optimistic {
 		errs = append(errs, fmt.Errorf("abcl: WithProfiler and the Optimistic executor are incompatible: profile accumulators are monotonic and cannot be rolled back"))
@@ -679,19 +641,6 @@ func NewSystem(opts ...Option) (*System, error) {
 	m, err := machine.New(mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("abcl: %w", err)
-	}
-	// Resolve the observer sink. A nil *trace.Ring must never be stored into
-	// the Sink interface fields below — the typed-nil interface value would
-	// defeat the engine's `sink != nil` fast path.
-	var ring *trace.Ring
-	sink := s.observer
-	if s.traceCap > 0 {
-		ring = trace.NewRing(s.traceCap)
-		if sink != nil {
-			sink = trace.Tee(ring, sink)
-		} else {
-			sink = ring
-		}
 	}
 	var prof *profile.Profiler
 	if s.prof != nil {
@@ -712,7 +661,7 @@ func NewSystem(opts ...Option) (*System, error) {
 	rt := core.NewRuntime(m, core.Options{
 		Policy:        s.policy,
 		MaxStackDepth: s.maxStack,
-		Trace:         sink,
+		Trace:         s.observer,
 		Prof:          prof,
 	})
 	if ckptOn || optimistic {
@@ -734,7 +683,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		Placement:       s.placement,
 		Seed:            s.seed,
 		Reliable:        reliable,
-		Trace:           sink,
+		Trace:           s.observer,
 		Prof:            prof,
 		BatchWindow:     s.batchWindow,
 		BatchMaxBytes:   s.batchBytes,
@@ -747,15 +696,15 @@ func NewSystem(opts ...Option) (*System, error) {
 		// record pooling can be switched off.
 		net.EnableOptimistic()
 	}
-	sys := &System{M: m, RT: rt, Net: net, Trace: ring, prof: prof, seed: s.seed, faults: s.faults, exec: s.exec, inj: inj}
+	sys := &System{M: m, RT: rt, Net: net, prof: prof, seed: s.seed, faults: s.faults, exec: s.exec, inj: inj}
 	if ckptOn {
 		// Retention must cover every reliable send, including host-time ones
 		// (e.g. a Migrate before the first Run), so it starts here rather
 		// than at the manager's Start.
 		net.EnableCheckpoint()
 		sys.ckpt = checkpoint.New(rt, net, s.ckptEvery, nil)
-		if sink != nil {
-			sys.ckpt.SetTrace(sink)
+		if s.observer != nil {
+			sys.ckpt.SetTrace(s.observer)
 		}
 		if prof != nil {
 			sys.ckpt.SetProfiler(prof)
@@ -834,31 +783,31 @@ func (s *System) startCkpt() {
 // crash/restart events are installed before the first event fires.
 func (s *System) Run() error {
 	s.startCkpt()
-	if s.exec.workers > 1 {
-		switch s.exec.kind {
-		case execConservative:
-			s.RT.Freeze()
-			return s.M.ParallelRun(s.exec.workers)
-		case execOptimistic:
-			return s.runOptimistic()
-		}
+	if s.exec.workers > 1 && s.exec.kind != execSequential {
+		return s.runParallel()
 	}
 	return s.RT.Run()
 }
 
-// runOptimistic drives the machine under the Time Warp executor. Lane 0 (the
-// host lane, which owns no node state) is permanently fenced; when the
-// checkpoint subsystem is active its marker rounds are fenced too — the next
-// scheduled tick bounds every window, and an in-flight round forces serial
-// stepping until the cut completes.
-func (s *System) runOptimistic() error {
+// runParallel drives the machine under the engine's window driver. Both
+// parallel executors get the same fences: lane 0 (the host lane, which owns
+// no node state and runs crash restarts) is permanently fenced, and when the
+// checkpoint subsystem is active its marker rounds are fenced too — the
+// next scheduled tick bounds every window, and an in-flight round forces
+// serial stepping until the cut completes. Conservative pins the
+// speculation ceiling to the lookahead, so it needs no lane saver;
+// Optimistic speculates and rolls lanes back through timeWarpSaver.
+func (s *System) runParallel() error {
 	s.RT.Freeze()
 	cfg := sim.OptimisticConfig{
-		Window:           s.exec.opt.Window,
-		MaxRollbackDepth: s.exec.opt.MaxRollbackDepth,
-		GVTInterval:      s.exec.opt.GVTInterval,
-		Saver:            parexec.NewTimeWarpSaver(s.RT, s.M, s.Net, s.inj),
-		FenceLanes:       []int{0},
+		Window:     s.M.Lookahead(),
+		FenceLanes: []int{0},
+	}
+	if s.exec.kind == execOptimistic {
+		cfg.Window = s.exec.opt.Window
+		cfg.MaxRollbackDepth = s.exec.opt.MaxRollbackDepth
+		cfg.GVTInterval = s.exec.opt.GVTInterval
+		cfg.Saver = &timeWarpSaver{rt: s.RT, m: s.M, net: s.Net, inj: s.inj}
 	}
 	if g := s.ckpt; g != nil {
 		cfg.Fence = func() sim.Time {
@@ -874,9 +823,68 @@ func (s *System) runOptimistic() error {
 	return s.M.OptimisticRun(s.exec.workers, cfg)
 }
 
-// OptStats reports the Time Warp executor's deterministic run statistics
-// (windows, speculative windows, rollbacks, serial steps). All zeros unless
-// Run executed under WithExecutor(Optimistic(...)).
+// timeWarpSaver is the composite sim.LaneSaver of the Optimistic executor:
+// it snapshots and restores everything outside the engine that a node's
+// lane mutates — machine state (clock, receive queue, FIFO clamp column,
+// counters), language state (objects, queues, saved contexts, scheduling
+// queue), inter-node state (stocks, protocol cursors, in-flight records,
+// open batches, retention) and fault state (tallies, rng streams).
+//
+// Lane l drives node l-1; lane 0 is the host lane, which owns no node state
+// and is fenced serial by the driver anyway, so its capture is nil.
+type timeWarpSaver struct {
+	rt  *core.Runtime
+	m   *machine.Machine
+	net *remote.Layer
+	inj *fault.Injector // nil on a fault-free machine
+}
+
+// twSnap is one lane's composite snapshot.
+type twSnap struct {
+	mach *machine.NodeSnap
+	core *core.NodeSnap
+	rem  *remote.NodeSnap
+	flt  *fault.NodeSnap
+}
+
+// Capture implements sim.LaneSaver; it runs on the worker goroutine that
+// owns the lane, between two of its events.
+func (w *timeWarpSaver) Capture(lane int) any {
+	if lane == 0 {
+		return nil
+	}
+	node := lane - 1
+	s := &twSnap{
+		mach: w.m.Node(node).OptCapture(),
+		core: w.rt.OptCaptureNode(node),
+		rem:  w.net.OptCaptureNode(node),
+	}
+	if w.inj != nil {
+		s.flt = w.inj.OptCaptureNode(node)
+	}
+	return s
+}
+
+// Restore implements sim.LaneSaver; it runs single-threaded at the window
+// barrier.
+func (w *timeWarpSaver) Restore(lane int, snap any) {
+	if snap == nil {
+		return
+	}
+	node := lane - 1
+	s := snap.(*twSnap)
+	w.m.Node(node).OptRestore(s.mach)
+	w.rt.OptRestoreNode(node, s.core)
+	w.net.OptRestoreNode(node, s.rem)
+	if s.flt != nil {
+		w.inj.OptRestoreNode(node, s.flt)
+	}
+}
+
+// OptStats reports the parallel window driver's deterministic run
+// statistics (windows, speculative windows, rollbacks, serial steps). All
+// zeros for sequential runs; Speculative and Rollbacks are always zero under
+// Conservative.
 func (s *System) OptStats() sim.OptStats { return s.M.OptStats() }
 
 // SyncWindows reports how many parallel windows — one cross-lane
@@ -886,15 +894,7 @@ func (s *System) OptStats() sim.OptStats { return s.M.OptStats() }
 // schedule) and is the machine-independent scaling signal: fewer, wider
 // windows mean less barrier synchronization per event. Zero for
 // sequential runs.
-func (s *System) SyncWindows() uint64 {
-	switch s.exec.kind {
-	case execConservative:
-		return s.M.ParWindows()
-	case execOptimistic:
-		return s.M.OptStats().Windows
-	}
-	return 0
-}
+func (s *System) SyncWindows() uint64 { return s.M.OptStats().Windows }
 
 // Checkpointing returns the checkpoint manager, or nil when neither
 // WithCheckpoint nor a crash plan was configured.

@@ -60,8 +60,8 @@ import (
 	"repro/internal/apps/diffusion"
 	"repro/internal/apps/hotkey"
 	"repro/internal/apps/misc"
-	"repro/internal/apps/orderbook"
 	"repro/internal/apps/nqueens"
+	"repro/internal/apps/orderbook"
 	"repro/internal/apps/pingpong"
 	"repro/internal/machine"
 	"repro/internal/runpack"
@@ -89,7 +89,7 @@ var (
 	seed      = flag.Int64("seed", 1, "random placement seed")
 	stock     = flag.Int("stock", 2, "chunk-stock depth (-1 disables)")
 	iters     = flag.Int("iters", 1000, "ping-pong iterations")
-	traceN    = flag.Int("trace", 0, "dump the last N runtime trace events")
+	traceN    = flag.Int("trace", 0, "dump the last N runtime trace events (nqueens)")
 
 	drop   = flag.Float64("drop", 0, "link fault: per-packet drop probability [0,1)")
 	dup    = flag.Float64("dup", 0, "link fault: per-packet duplication probability [0,1]")
@@ -292,9 +292,6 @@ func sysOptions() []abcl.Option {
 		opts = append(opts, abcl.WithoutChunkStock())
 	case *stock > 0:
 		opts = append(opts, abcl.WithChunkStock(*stock))
-	}
-	if *traceN > 0 {
-		opts = append(opts, abcl.WithTrace(*traceN))
 	}
 	if spec, ok := executorSpec(); ok {
 		opts = append(opts, abcl.WithExecutor(spec))
@@ -725,7 +722,13 @@ func parsePlacement() abcl.Placement {
 
 func runNQueens() error {
 	seq := nqueens.Sequential(*n, machine.DefaultConfig(1), 0)
-	sys, err := abcl.NewSystem(sysOptions()...)
+	opts := sysOptions()
+	var ring *trace.Ring
+	if *traceN > 0 {
+		ring = trace.NewRing(*traceN)
+		opts = append(opts, abcl.WithObserver(ring))
+	}
+	sys, err := abcl.NewSystem(opts...)
 	if err != nil {
 		return err
 	}
@@ -753,9 +756,9 @@ func runNQueens() error {
 	fmt.Printf("  memory model     %.0f KB\n", float64(res.MemoryBytes)/1024)
 	printStats(res.Stats)
 	printCostTable(res.Report)
-	if sys.Trace != nil {
-		fmt.Printf("  last %d trace events:\n", sys.Trace.Len())
-		if err := sys.Trace.Dump(os.Stdout); err != nil {
+	if ring != nil {
+		fmt.Printf("  last %d trace events:\n", ring.Len())
+		if err := ring.Dump(os.Stdout); err != nil {
 			return err
 		}
 	}

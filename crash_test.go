@@ -7,6 +7,7 @@ import (
 	abcl "repro"
 	"repro/internal/apps/misc"
 	"repro/internal/apps/nqueens"
+	"repro/internal/trace"
 )
 
 // crashRun executes one N-queens search under the given options and returns
@@ -15,7 +16,7 @@ type crashRun struct {
 	solutions int64
 	elapsed   abcl.Time
 	stats     abcl.Counters
-	trace     []string
+	report    abcl.Report
 }
 
 func runQueens(t *testing.T, n int, opts ...abcl.Option) crashRun {
@@ -34,13 +35,16 @@ func runQueens(t *testing.T, n int, opts ...abcl.Option) crashRun {
 		t.Fatal(err)
 	}
 	rep := sys.Report()
-	r := crashRun{solutions: res.Solutions, elapsed: rep.Sched.Elapsed, stats: rep.Sched.Counters}
-	if sys.Trace != nil {
-		for _, e := range sys.Trace.Events() {
-			r.trace = append(r.trace, e.String())
-		}
+	return crashRun{solutions: res.Solutions, elapsed: rep.Sched.Elapsed, stats: rep.Sched.Counters, report: rep}
+}
+
+// traceLines renders an observer ring's retained events, one per line.
+func traceLines(r *trace.Ring) []string {
+	var lines []string
+	for _, e := range r.Events() {
+		lines = append(lines, e.String())
 	}
-	return r
+	return lines
 }
 
 // queensSolutions holds the exact answers the search must produce.
@@ -99,10 +103,11 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 		abcl.WithNodes(4), abcl.WithSeed(7),
 		abcl.WithCheckpoint(clean.elapsed / 6),
 		abcl.WithFaults(plan),
-		abcl.WithTrace(1 << 15),
 	}
-	a := runQueens(t, n, opts...)
-	b := runQueens(t, n, opts...)
+	ringA, ringB := trace.NewRing(1<<15), trace.NewRing(1<<15)
+	a := runQueens(t, n, append(opts, abcl.WithObserver(ringA))...)
+	b := runQueens(t, n, append(opts, abcl.WithObserver(ringB))...)
+	traceA, traceB := traceLines(ringA), traceLines(ringB)
 	if a.stats != b.stats {
 		t.Errorf("counters differ across identical crash runs:\n%+v\nvs\n%+v", a.stats, b.stats)
 	}
@@ -110,14 +115,14 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 		t.Errorf("elapsed/answer differ: (%v, %d) vs (%v, %d)",
 			a.elapsed, a.solutions, b.elapsed, b.solutions)
 	}
-	if !reflect.DeepEqual(a.trace, b.trace) {
-		for i := range a.trace {
-			if i < len(b.trace) && a.trace[i] != b.trace[i] {
-				t.Errorf("trace diverges at %d:\n  %s\n  %s", i, a.trace[i], b.trace[i])
+	if !reflect.DeepEqual(traceA, traceB) {
+		for i := range traceA {
+			if i < len(traceB) && traceA[i] != traceB[i] {
+				t.Errorf("trace diverges at %d:\n  %s\n  %s", i, traceA[i], traceB[i])
 				break
 			}
 		}
-		t.Errorf("traces differ (%d vs %d events)", len(a.trace), len(b.trace))
+		t.Errorf("traces differ (%d vs %d events)", len(traceA), len(traceB))
 	}
 }
 
@@ -282,15 +287,17 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointRequiresSupport pins the option-validation surface.
+// TestCheckpointRequiresSupport pins the option-validation surface. Every
+// executor accepts checkpointing; TestOptimisticCrashRecovery checks that
+// the parallel ones recover exactly like the sequential engine.
 func TestCheckpointRequiresSupport(t *testing.T) {
 	if _, err := abcl.NewSystem(abcl.WithCheckpoint(0)); err == nil {
 		t.Error("WithCheckpoint(0) accepted")
 	}
 	if _, err := abcl.NewSystem(
 		abcl.WithNodes(4), abcl.WithCheckpoint(1000), abcl.WithExecutor(abcl.Conservative(4)),
-	); err == nil {
-		t.Error("WithCheckpoint + Conservative executor accepted")
+	); err != nil {
+		t.Errorf("WithCheckpoint + Conservative executor rejected: %v", err)
 	}
 	sys, err := abcl.NewSystem(abcl.WithNodes(2))
 	if err != nil {

@@ -13,17 +13,20 @@ import (
 	"log"
 
 	abcl "repro"
+	"repro/internal/trace"
 )
 
 func main() {
 	// 10% of packets dropped, 5% duplicated, up to 2µs of extra latency —
 	// on every inter-node link. Configuring faults switches the inter-node
-	// layer to its ack/retry protocol automatically.
+	// layer to its ack/retry protocol automatically. The observer ring keeps
+	// the last 64 runtime events (sends, acks, retries, ...).
+	events := trace.NewRing(64)
 	sys, err := abcl.NewSystem(
 		abcl.WithNodes(4),
 		abcl.WithSeed(42),
 		abcl.WithFaults(abcl.UniformFaults(0.10, 0.05, 2000)),
-		abcl.WithTrace(64),
+		abcl.WithObserver(events),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -73,6 +76,7 @@ func main() {
 		st.Retransmits, st.DupSuppressed, st.HeldOutOfOrder)
 	fmt.Printf("  delivered       %d/%d reliable messages, lost=%d\n",
 		st.RelDelivered, st.RelSent, st.LostMessages())
+	fmt.Printf("  traced          %d runtime events (last %d kept)\n", events.Total(), events.Len())
 
 	if total != members*laps {
 		log.Fatalf("token count diverged: %d", total)

@@ -6,11 +6,13 @@ import (
 
 	abcl "repro"
 	"repro/internal/apps/misc"
+	"repro/internal/trace"
 )
 
 // faultRun executes one fork-join workload under the given options and
 // returns everything that must be reproducible: counters, elapsed time,
-// packet totals, the trace, and the workload's answer.
+// packet totals, the trace (its last 4096 events), and the workload's
+// answer.
 type faultRun struct {
 	answer  int64
 	elapsed abcl.Time
@@ -21,7 +23,8 @@ type faultRun struct {
 
 func runFaulted(t *testing.T, depth int, opts ...abcl.Option) faultRun {
 	t.Helper()
-	sys, err := abcl.NewSystem(opts...)
+	ring := trace.NewRing(4096)
+	sys, err := abcl.NewSystem(append(opts[:len(opts):len(opts)], abcl.WithObserver(ring))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +38,7 @@ func runFaulted(t *testing.T, depth int, opts ...abcl.Option) faultRun {
 		elapsed: rep.Sched.Elapsed,
 		packets: rep.Wire.Packets,
 		stats:   rep.Sched.Counters,
-	}
-	if sys.Trace != nil {
-		for _, e := range sys.Trace.Events() {
-			r.trace = append(r.trace, e.String())
-		}
+		trace:   traceLines(ring),
 	}
 	return r
 }
@@ -71,7 +70,7 @@ func TestFaultDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := []abcl.Option{
 				abcl.WithNodes(4), abcl.WithSeed(tc.seed),
-				abcl.WithFaults(tc.plan), abcl.WithTrace(4096),
+				abcl.WithFaults(tc.plan),
 			}
 			a := runFaulted(t, 7, opts...)
 			b := runFaulted(t, 7, opts...)

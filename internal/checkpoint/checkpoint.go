@@ -76,8 +76,10 @@ func (s *Snapshot) SizeBytes() int {
 }
 
 // Manager drives the snapshot protocol and executes crash/restart events.
-// All methods run on the simulation goroutine; the subsystem is incompatible
-// with the parallel executor (a restore touches every lane at once).
+// All methods run on the simulation goroutine. Under a parallel executor the
+// window driver fences the marker rounds and the host lane, so every method
+// still runs between windows or while the driver steps serially (a restore
+// touches every lane at once).
 type Manager struct {
 	rt       *core.Runtime
 	l        *remote.Layer
@@ -337,8 +339,8 @@ func (g *Manager) snapNode(i int) {
 // restore executes a global rollback: the whole machine returns to the last
 // complete checkpoint round and execution resumes from it. node is the
 // crashed node whose restart triggered the rollback, or -1 for a manual
-// Restore. Runs as a host-lane event; incompatible with the parallel
-// executor.
+// Restore. Runs as a host-lane event, which the parallel executors fence
+// serial.
 func (g *Manager) restore(at sim.Time, node int) {
 	snap := g.stable
 	if snap == nil {

@@ -19,22 +19,21 @@ import (
 //     contexts stay pooled — a context never outlives the event that
 //     acquired it.
 //
-//   - cross-node chunk registrations go through a side list. The remote
-//     creation protocol allocates the target's chunk from the REQUESTER's
-//     lane (stock pre-seeding), so appending it to the target's `hosted`
-//     list would race with the target's own lane and — worse — the target's
-//     rollback truncation of `hosted` could forget a chunk whose creating
-//     lane committed it. Cross-lane chunks therefore live in a per-node
-//     `hostedX` list guarded by a runtime-wide mutex, with a per-creator
-//     journal so a creator's rollback revokes exactly its own speculative
-//     registrations: the sender-side form of a Time Warp anti-message.
+//   - cross-node chunk registrations are journaled. The remote creation
+//     protocol allocates the target's chunk from the REQUESTER's lane (stock
+//     pre-seeding), so it lives on the target's `hostedX` side list rather
+//     than `hosted` (see NewFaultChunkFrom), and the target's rollback
+//     truncation of `hosted` cannot forget a chunk whose creating lane
+//     committed it. A per-creator journal lets a creator's rollback revoke
+//     exactly its own speculative registrations: the sender-side form of a
+//     Time Warp anti-message.
 
 // optRuntimeState bundles the runtime's optimistic-mode state so the
 // Runtime struct gains a single field.
 type optRuntimeState struct {
 	on bool
 	// mu guards every node's hostedX list (append on the creating lane,
-	// enumeration on the hosting lane's capture).
+	// enumeration on the hosting lane's capture) under any executor.
 	mu sync.Mutex
 	// journal[creator] records the cross-node chunks creator's lane has
 	// registered since its last capture; see OptCaptureNode/OptRestoreNode.
@@ -60,20 +59,23 @@ func (r *Runtime) Optimistic() bool { return r.optim.on }
 
 // NewFaultChunkFrom is NewFaultChunk for call sites that may run on a lane
 // other than the hosting node's (the remote-creation stock pre-seeding path).
-// Outside optimistic mode, or when creator and host coincide, it is exactly
-// NewFaultChunk; under optimistic execution the chunk is registered on the
-// host's cross-lane side list and journaled against the creator so a
-// rollback of the creator's lane revokes the registration.
+// When creator and host coincide, or objects are not tracked, it is exactly
+// NewFaultChunk. Otherwise the chunk is registered on the host's cross-lane
+// side list under the lock — the host's lane may be appending to its own
+// `hosted` list concurrently inside a parallel window — and, under
+// optimistic execution, journaled against the creator so a rollback of the
+// creator's lane revokes the registration.
 func (r *Runtime) NewFaultChunkFrom(creator, node int) *Object {
-	if !r.optim.on || creator == node {
+	n := r.nodes[node]
+	if creator == node || !n.track {
 		return r.NewFaultChunk(node)
 	}
 	r.Freeze()
 	obj := &Object{node: node, vftp: r.faultVFT}
-	if n := r.nodes[node]; n.track {
-		r.optim.mu.Lock()
-		n.hostedX = append(n.hostedX, obj)
-		r.optim.mu.Unlock()
+	r.optim.mu.Lock()
+	n.hostedX = append(n.hostedX, obj)
+	r.optim.mu.Unlock()
+	if r.optim.on {
 		r.optim.journal[creator] = append(r.optim.journal[creator], optChunk{node, obj})
 	}
 	return obj

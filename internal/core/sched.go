@@ -65,8 +65,8 @@ type NodeRT struct {
 	// checkpoint traversal. Populated only when snapshots are enabled
 	// (track), keeping the default path untouched and parallel-run safe.
 	// hostedX holds objects homed here but registered from another node's
-	// lane (remote-creation stock pre-seeding under optimistic execution);
-	// it is guarded by the runtime's optim.mu — see optimistic.go.
+	// lane (remote-creation stock pre-seeding); it is guarded by the
+	// runtime's optim.mu — see NewFaultChunkFrom.
 	hosted  []*Object
 	hostedX []*Object
 	track   bool
@@ -527,7 +527,7 @@ func (n *NodeRT) enqueueSched(obj *Object) {
 // active mode for the duration; at completion the message queue is checked
 // and the object either returns to dormant mode or re-enqueues itself.
 func (n *NodeRT) invokeBody(obj *Object, f *Frame, body MethodFunc) {
-	prevPath := n.curPath // nested sends inside the body overwrite the register
+	prevPath := n.curPath     // nested sends inside the body overwrite the register
 	wasRunning := obj.running // nested multiactive invocations stack
 	obj.running = true
 	n.stackDepth++

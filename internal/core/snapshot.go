@@ -158,15 +158,12 @@ func (r *Runtime) CaptureNode(node int, codec SnapshotCodec) *NodeImage {
 	for _, o := range n.hosted {
 		img.capture(o, codec)
 	}
-	// Cross-lane chunk registrations (optimistic mode) live on a side list
-	// that other lanes append to concurrently; read the slice header under
-	// the lock and walk the stable prefix (the list is append-only).
+	// Cross-lane chunk registrations live on a side list that other lanes
+	// may append to concurrently; read the slice header under the lock and
+	// walk the stable prefix (the list is append-only between restores).
+	r.optim.mu.Lock()
 	hx := n.hostedX
-	if r.optim.on {
-		r.optim.mu.Lock()
-		hx = n.hostedX
-		r.optim.mu.Unlock()
-	}
+	r.optim.mu.Unlock()
 	img.hostedXLen = len(hx)
 	for _, o := range hx {
 		img.capture(o, codec)

@@ -262,7 +262,7 @@ type Machine struct {
 
 	// opt marks optimistic-execution mode: packet pooling is disabled so a
 	// rolled-back delivery can be replayed against an intact packet (see
-	// optimistic.go). optStats accumulates the Time Warp run statistics.
+	// optimistic.go). optStats accumulates the window driver's run statistics.
 	opt      bool
 	optStats sim.OptStats
 
@@ -409,19 +409,6 @@ func (m *Machine) Run() error {
 func (m *Machine) Lookahead() sim.Time {
 	return m.Cfg.Net.FixedNs + m.Cfg.Net.HopNs
 }
-
-// ParallelRun drives the simulation to quiescence like Run, executing
-// independent node lanes concurrently on up to workers goroutines inside
-// conservative virtual-time windows bounded by the network lookahead.
-// Results are identical to Run.
-func (m *Machine) ParallelRun(workers int) error {
-	_, err := m.Eng.RunParallel(workers, m.Lookahead())
-	return err
-}
-
-// ParWindows reports how many conservative windows (one barrier each) the
-// last ParallelRun executed.
-func (m *Machine) ParWindows() uint64 { return m.Eng.ParWindows() }
 
 // MaxClock returns the largest node clock, i.e. the parallel makespan.
 func (m *Machine) MaxClock() sim.Time {
@@ -682,7 +669,7 @@ func (n *Node) Now() sim.Time { return n.Clock }
 
 // EventNow returns the virtual time of the node's lane: the timestamp of
 // the event currently firing on it. Unlike Engine.Now, it is safe from
-// handlers running inside a ParallelRun window.
+// handlers running inside a parallel window.
 func (n *Node) EventNow() sim.Time { return n.m.Eng.LaneNow(n.lane) }
 
 // Lane returns the node's engine event lane.

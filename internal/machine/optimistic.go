@@ -104,11 +104,12 @@ func (n *Node) OptRestore(s *NodeSnap) {
 	}
 }
 
-// OptimisticRun drives the simulation to quiescence like ParallelRun but
-// under the Time Warp runner: lanes speculate past the network lookahead
-// inside adaptive windows and roll back on stragglers. Results are identical
-// to Run. The caller provides everything in cfg except Lookahead, which the
-// machine owns.
+// OptimisticRun drives the simulation to quiescence like Run, executing
+// node lanes concurrently under the engine's window driver: lookahead-width
+// windows when cfg's speculation ceiling is the lookahead, otherwise Time
+// Warp windows that speculate past it and roll back on stragglers. Results
+// are identical to Run. The caller provides everything in cfg except
+// Lookahead, which the machine owns.
 func (m *Machine) OptimisticRun(workers int, cfg sim.OptimisticConfig) error {
 	cfg.Lookahead = m.Lookahead()
 	_, err := m.Eng.RunOptimistic(workers, cfg)
@@ -120,6 +121,6 @@ func (m *Machine) OptimisticRun(workers int, cfg sim.OptimisticConfig) error {
 	return err
 }
 
-// OptStats reports the accumulated Time Warp statistics across every
+// OptStats reports the accumulated window-driver statistics across every
 // OptimisticRun drive of this machine. All values are deterministic.
 func (m *Machine) OptStats() sim.OptStats { return m.optStats }

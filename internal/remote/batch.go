@@ -41,7 +41,7 @@ const DefaultBatchBytes = 512
 
 // batcher is the machine-wide batching state: one lazily allocated linkBatch
 // per (src, dst) pair that actually communicates. All per-link state is
-// touched only from the sender's event lane, keeping ParallelRun safe.
+// touched only from the sender's event lane, keeping parallel windows safe.
 type batcher struct {
 	l        *Layer
 	window   sim.Time

@@ -195,9 +195,6 @@ func (c RunConfig) Validate() error {
 	if c.Workload == "pingpong" && parallel {
 		errs = append(errs, fmt.Errorf("runpack: pingpong packs run sequentially (drop the executor)"))
 	}
-	if kind == "conservative" && parallel && (c.CkptIntervalNs > 0 || len(c.Crashes) > 0) {
-		errs = append(errs, fmt.Errorf("runpack: the conservative executor is incompatible with checkpoints and crash faults"))
-	}
 	switch c.Policy {
 	case "", "stack", "naive":
 	default:

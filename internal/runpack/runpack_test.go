@@ -283,8 +283,6 @@ func TestValidateRejections(t *testing.T) {
 		{"spec outside scenario", RunConfig{Workload: "nqueens", Scenario: &scenario.Spec{}}, "must not embed"},
 		{"parallel pingpong", RunConfig{Workload: "pingpong", ParallelSim: 4}, "sequentially"},
 		{"optimistic pingpong", RunConfig{Workload: "pingpong", Executor: "optimistic", Workers: 4}, "sequentially"},
-		{"parallel crash", RunConfig{Workload: "nqueens", ParallelSim: 4, CkptIntervalNs: 100, Crashes: []Crash{{Node: 1, AtNs: 5, RestartAfterNs: 5}}}, "incompatible with checkpoints"},
-		{"conservative ckpt", RunConfig{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100}, "incompatible with checkpoints"},
 		{"unknown executor", RunConfig{Workload: "nqueens", Executor: "timewarp", Workers: 4}, "unknown executor"},
 		{"both spellings", RunConfig{Workload: "nqueens", Executor: "conservative", Workers: 4, ParallelSim: 4}, "mutually exclusive"},
 		{"workers sequential", RunConfig{Workload: "nqueens", Workers: 4}, "requires a parallel executor"},
@@ -300,6 +298,15 @@ func TestValidateRejections(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		}
+	}
+	// Every executor accepts checkpoints and crash plans.
+	for _, cfg := range []RunConfig{
+		{Workload: "nqueens", ParallelSim: 4, CkptIntervalNs: 100, Crashes: []Crash{{Node: 1, AtNs: 5, RestartAfterNs: 5}}},
+		{Workload: "nqueens", Executor: "conservative", Workers: 4, CkptIntervalNs: 100},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: want valid, got %v", cfg, err)
 		}
 	}
 }

@@ -230,10 +230,6 @@ func (sp Spec) Validate() error {
 	if sp.OptimisticWindowNs != 0 && sp.Executor != "optimistic" {
 		errs = append(errs, fmt.Errorf("scenario %s: optimistic_window_ns requires the optimistic executor", name))
 	}
-	if sp.Executor == "conservative" && sp.ParallelConfigured() &&
-		(sp.CheckpointIntervalNs > 0 || len(sp.Faults.Crashes) > 0) {
-		errs = append(errs, fmt.Errorf("scenario %s: the conservative executor is incompatible with checkpoints and crash faults", name))
-	}
 	// The fault schedule is only checkable against a sane fleet size; with
 	// nodes < 1 every rule would drown in out-of-range noise.
 	if sp.Nodes >= 1 {

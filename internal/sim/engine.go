@@ -9,9 +9,10 @@
 // interface boxing), and a small top-level tournament — an index heap over
 // the non-empty lanes keyed by their head event's (time, seq) — selects the
 // globally next event in O(log lanes). A lane conventionally corresponds to
-// one simulated node, which is what makes the conservative parallel runner
-// in parallel.go possible; lane 0 is the default lane used by the
-// single-queue compatibility API (Schedule, After, AfterTimer).
+// one simulated node, which is what makes the parallel window driver
+// (RunOptimistic; see parallel.go and optimistic.go) possible. Lane 0 is the
+// default lane used by the single-queue compatibility API (Schedule, After,
+// AfterTimer).
 package sim
 
 import (
@@ -180,7 +181,7 @@ func (ln *lane) heapify() {
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
 // concurrent use; all event callbacks run on the caller's goroutine (or,
-// under RunParallel, on the worker that owns the callback's lane for the
+// under RunOptimistic, on the worker that owns the callback's lane for the
 // current window).
 type Engine struct {
 	lanes    []lane
@@ -199,14 +200,8 @@ type Engine struct {
 	limitHit atomic.Bool // set by a worker that tripped the event limit
 	conflict atomic.Bool // optimistic window: a cross-lane birth landed in-window
 	optStats OptStats    // statistics of the last RunOptimistic drive
-	parWins  uint64      // windows (barriers) of the last RunParallel drive
 	heads    []int       // barrier scratch: per-active-lane log cursor
 }
-
-// ParWindows reports how many conservative windows — one barrier each —
-// the last RunParallel drive executed. Deterministic: the window schedule
-// depends only on virtual time and the lookahead, never on the workers.
-func (e *Engine) ParWindows() uint64 { return e.parWins }
 
 // NewEngine returns an empty engine at time zero with a single lane.
 func NewEngine() *Engine {
@@ -250,7 +245,7 @@ func (e *Engine) RegisterHandler(h func(at Time, arg any)) Kind {
 
 // Now returns the current virtual time: the timestamp of the event being
 // fired, or of the last fired event when called between Run calls. During
-// RunParallel windows, use LaneNow from event callbacks instead.
+// parallel windows, use LaneNow from event callbacks instead.
 func (e *Engine) Now() Time { return e.now }
 
 // LaneNow returns the current virtual time as observed by code running on
@@ -358,8 +353,8 @@ func (e *Engine) ScheduleFuncOn(src, dst int, at Time, fire func()) {
 func (e *Engine) After(d Time, fire func()) { e.Schedule(e.now+d, fire) }
 
 // Stop makes the current Run return after the in-flight event completes.
-// Pending events remain queued. Not safe to call from RunParallel worker
-// callbacks.
+// Pending events remain queued. Not safe to call from callbacks running
+// inside a parallel window.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called since the last Run.

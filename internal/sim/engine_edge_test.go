@@ -185,7 +185,7 @@ func TestStartTimerWhileQueuedPanics(t *testing.T) {
 // cross-lane children always land at least lookahead ahead of the
 // scheduling lane's clock (the conservative-parallelism contract). Each
 // lane appends its firings to its own log slice, so callbacks stay
-// lane-local under RunParallel.
+// lane-local under the window driver.
 func parallelWorkload(e *Engine, lanes int, lookahead Time, logs [][]Time) {
 	var spawn func(lane, depth, v int)
 	spawn = func(lane, depth, v int) {
@@ -205,49 +205,5 @@ func parallelWorkload(e *Engine, lanes int, lookahead Time, logs [][]Time) {
 	}
 	for l := 0; l < lanes; l++ {
 		spawn(l, 6, l+3)
-	}
-}
-
-// TestRunParallelMatchesRun runs the same cascade sequentially and under
-// the windowed parallel executor and requires identical per-lane firing
-// logs, total event counts, and final clocks.
-func TestRunParallelMatchesRun(t *testing.T) {
-	const lanes = 8
-	const lookahead = Time(50)
-
-	runOne := func(par bool) ([][]Time, uint64, Time) {
-		e := NewEngine()
-		e.SetLanes(lanes)
-		logs := make([][]Time, lanes)
-		parallelWorkload(e, lanes, lookahead, logs)
-		var n uint64
-		var err error
-		if par {
-			n, err = e.RunParallel(4, lookahead)
-		} else {
-			n, err = e.Run()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := Time(0)
-		for l := 0; l < lanes; l++ {
-			if ln := e.LaneNow(l); ln > last {
-				last = ln
-			}
-		}
-		return logs, n, last
-	}
-
-	seqLogs, seqN, seqLast := runOne(false)
-	parLogs, parN, parLast := runOne(true)
-	if seqN != parN {
-		t.Fatalf("event counts differ: sequential %d, parallel %d", seqN, parN)
-	}
-	if seqLast != parLast {
-		t.Fatalf("final clocks differ: sequential %v, parallel %v", seqLast, parLast)
-	}
-	if !reflect.DeepEqual(seqLogs, parLogs) {
-		t.Fatalf("per-lane firing logs differ:\nsequential %v\nparallel   %v", seqLogs, parLogs)
 	}
 }

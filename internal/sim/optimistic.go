@@ -2,13 +2,15 @@ package sim
 
 import "sync/atomic"
 
-// Optimistic (Time Warp) parallel execution.
+// The window driver: conservative and optimistic (Time Warp) execution.
 //
-// RunOptimistic extends the conservative runner with speculation: instead of
-// bounding every window by the network lookahead, it opens windows of an
-// adaptive width Weff >= lookahead and lets lanes execute past the
-// conservative horizon S = T + lookahead. Events fired before S are exactly
-// the conservative window and can never be invalidated (window closure: any
+// RunOptimistic is the engine's one parallel runner. It opens windows of an
+// adaptive width Weff >= lookahead, bounded above by the speculation ceiling
+// max(Window, GVTInterval), and lets lanes execute past the conservative
+// horizon S = T + lookahead. A ceiling equal to the lookahead is the
+// conservative preset: no window reaches past S, so no lane ever captures a
+// snapshot and nothing can roll back. Events fired before S are exactly the
+// conservative window and can never be invalidated (window closure: any
 // cross-lane effect lands at least `lookahead` ahead of the scheduling
 // lane's clock, hence at or after S). Events fired at or after S are
 // speculative: before firing its first speculative event a lane captures a
@@ -35,9 +37,8 @@ import "sync/atomic"
 // state before it is final and its snapshots are released (fossil
 // collection). Weff adapts to the workload — halved after a rollback,
 // doubled after a clean speculative commit — so chatty phases degenerate to
-// conservative windows (where the persistent worker pool still beats
-// RunParallel's per-window goroutine spawning) while sparse phases widen
-// their windows and amortise barriers.
+// conservative windows while sparse phases widen their windows and amortise
+// barriers.
 
 // LaneSaver captures and restores external per-lane simulation state around
 // speculative execution. Capture is called from the worker goroutine that
@@ -51,16 +52,18 @@ type LaneSaver interface {
 
 // OptimisticConfig parameterises RunOptimistic. Lookahead is the
 // conservative safety bound (cross-lane effects land at least this far
-// ahead). Window is the initial speculation width; GVTInterval, when
-// positive, caps how far the adaptive width may grow (it bounds the virtual
-// time between commits); MaxRollbackDepth is the number of consecutive
-// rolled-back windows tolerated before the width collapses straight to the
-// conservative floor. Fence, when set, returns the earliest virtual time
-// that must not be reached inside a parallel window (for example the next
-// checkpoint-coordinator tick); SerialNow, when set and true, forces
-// one-event-at-a-time execution (a marker round in flight). FenceLanes
-// lists lanes whose events must always fire serially (the host lane: crash
-// restores run there and touch every lane at once).
+// ahead). Window is the initial speculation width (zero or below the
+// lookahead picks 16× the lookahead); GVTInterval, when positive, caps how
+// far the adaptive width may grow (it bounds the virtual time between
+// commits). When the ceiling max(Window, GVTInterval) equals the lookahead
+// the drive is conservative and Saver may be nil. MaxRollbackDepth is the
+// number of consecutive rolled-back windows tolerated before the width
+// collapses straight to the conservative floor. Fence, when set, returns
+// the earliest virtual time that must not be reached inside a parallel
+// window (for example the next checkpoint-coordinator tick); SerialNow,
+// when set and true, forces one-event-at-a-time execution (a marker round
+// in flight). FenceLanes lists lanes whose events must always fire serially
+// (the host lane: crash restores run there and touch every lane at once).
 type OptimisticConfig struct {
 	Lookahead        Time
 	Window           Time
@@ -187,9 +190,12 @@ func (e *Engine) restoreLane(l int, s *laneSnap, saver LaneSaver) {
 	}
 }
 
-// runLaneWindowOpt is runLaneWindow with the speculative horizon: the lane
-// captures its snapshot before its first event at or past sHor, and stops
-// speculating early once the window is already doomed by a conflict.
+// runLaneWindowOpt fires lane l's events with timestamps inside the current
+// window, recording births and the fired log for the barrier, and returns
+// the number of events fired (including stopped-timer no-ops). The lane
+// captures its snapshot before its first event at or past the speculative
+// horizon sHor, and stops speculating early once the window is already
+// doomed by a conflict.
 func (e *Engine) runLaneWindowOpt(l int, sHor Time, saver LaneSaver, snaps []*laneSnap) uint64 {
 	ln := &e.lanes[l]
 	end := e.winEnd
@@ -289,8 +295,7 @@ func (e *Engine) stepOne() error {
 // park on the run channel between windows; each window releases one token
 // per participating worker, the workers drain a shared lane cursor, and the
 // dispatcher collects one completion (carrying any recovered panic) per
-// token. Reusing goroutines across the run is a large part of the win over
-// RunParallel, which spawns a fresh set per ~lookahead-sized window.
+// token, so no goroutine is spawned per window.
 type optPool struct {
 	e      *Engine
 	run    chan struct{}
@@ -356,9 +361,11 @@ func (p *optPool) dispatch(active []int32, sHor Time, saver LaneSaver, snaps []*
 
 func (p *optPool) close() { close(p.run) }
 
-// RunOptimistic fires all pending events like Run, speculating past the
-// conservative lookahead inside adaptive virtual-time windows and rolling
-// back on stragglers. Results — event order per lane, sequence numbers, and
+// RunOptimistic fires all pending events like Run, executing lanes
+// concurrently on up to `workers` goroutines inside virtual-time windows:
+// lookahead-width windows when the speculation ceiling equals the lookahead,
+// otherwise adaptive windows that speculate past it and roll back on
+// stragglers. Results — event order per lane, sequence numbers, and
 // all lane-local state — are identical to a sequential Run. It falls back
 // to Run when parallelism cannot help.
 func (e *Engine) RunOptimistic(workers int, cfg OptimisticConfig) (uint64, error) {
@@ -391,9 +398,9 @@ func (e *Engine) RunOptimistic(workers int, cfg OptimisticConfig) (uint64, error
 	// Adaptive width state. All inputs are virtual-time facts, so the window
 	// sequence (and OptStats) is reproducible run to run.
 	weffCur := win
-	probeIn := 0     // conservative windows to run before probing wider again
-	penalty := 16    // next hold-down length; doubles on repeated collapse
-	streak := 0      // consecutive rolled-back speculative windows
+	probeIn := 0  // conservative windows to run before probing wider again
+	penalty := 16 // next hold-down length; doubles on repeated collapse
+	streak := 0   // consecutive rolled-back speculative windows
 
 	for len(e.order) > 0 && !e.stopped {
 		if cfg.SerialNow != nil && cfg.SerialNow() {
@@ -425,7 +432,7 @@ func (e *Engine) RunOptimistic(workers int, cfg OptimisticConfig) (uint64, error
 			continue
 		}
 		weff := weffCur
-		if weffCur <= la {
+		if weffCur <= la && capW > la {
 			if probeIn > 0 {
 				probeIn--
 				weff = la

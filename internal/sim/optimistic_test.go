@@ -36,15 +36,18 @@ func (s *fireSaver) Restore(lane int, snap any) {
 	s.fires[lane] = fs.fires
 }
 
-// TestRunOptimisticMatchesRun drives the chatty cascade of
-// TestRunParallelMatchesRun under the optimistic runner with a wide window,
-// forcing speculative windows to be rolled back by cross-lane stragglers,
-// and requires results identical to a sequential Run.
+// TestRunOptimisticMatchesRun drives the chatty cascade of parallelWorkload
+// through the window driver and requires per-lane firing logs, total event
+// counts and final clocks identical to a sequential Run. The speculative
+// case opens wide windows that cross-lane stragglers roll back; the
+// conservative case sets the speculation ceiling to the lookahead, so no
+// window may speculate or roll back, and it must run the 3 lookahead-width
+// windows this workload needs.
 func TestRunOptimisticMatchesRun(t *testing.T) {
 	const lanes = 8
 	const lookahead = Time(50)
 
-	runOne := func(opt bool) ([][]Time, uint64, Time, OptStats) {
+	runOne := func(t *testing.T, cfg *OptimisticConfig) ([][]Time, uint64, Time, OptStats) {
 		e := NewEngine()
 		e.SetLanes(lanes)
 		logs := make([][]Time, lanes)
@@ -52,13 +55,11 @@ func TestRunOptimisticMatchesRun(t *testing.T) {
 		var n uint64
 		var err error
 		var st OptStats
-		if opt {
+		if cfg != nil {
 			sv := &logSaver{logs: logs}
-			n, err = e.RunOptimistic(4, OptimisticConfig{
-				Lookahead: lookahead,
-				Window:    lookahead * 16,
-				Saver:     sv,
-			})
+			c := *cfg
+			c.Saver = sv
+			n, err = e.RunOptimistic(4, c)
 			logs = sv.logs
 			st = e.OptimisticStats()
 		} else {
@@ -76,19 +77,33 @@ func TestRunOptimisticMatchesRun(t *testing.T) {
 		return logs, n, last, st
 	}
 
-	seqLogs, seqN, seqLast, _ := runOne(false)
-	optLogs, optN, optLast, st := runOne(true)
-	if seqN != optN {
-		t.Fatalf("event counts differ: sequential %d, optimistic %d", seqN, optN)
+	cases := []struct {
+		name  string
+		cfg   OptimisticConfig
+		check func(OptStats) bool
+	}{
+		{"speculative", OptimisticConfig{Lookahead: lookahead, Window: lookahead * 16},
+			func(st OptStats) bool { return st.Rollbacks > 0 }},
+		{"conservative", OptimisticConfig{Lookahead: lookahead, Window: lookahead},
+			func(st OptStats) bool { return st.Speculative == 0 && st.Rollbacks == 0 && st.Windows == 3 }},
 	}
-	if seqLast != optLast {
-		t.Fatalf("final clocks differ: sequential %v, optimistic %v", seqLast, optLast)
-	}
-	if !reflect.DeepEqual(seqLogs, optLogs) {
-		t.Fatalf("per-lane firing logs differ:\nsequential %v\noptimistic %v", seqLogs, optLogs)
-	}
-	if st.Rollbacks == 0 {
-		t.Fatalf("chatty workload never rolled back a speculative window: %+v", st)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seqLogs, seqN, seqLast, _ := runOne(t, nil)
+			optLogs, optN, optLast, st := runOne(t, &tc.cfg)
+			if seqN != optN {
+				t.Fatalf("event counts differ: sequential %d, windowed %d", seqN, optN)
+			}
+			if seqLast != optLast {
+				t.Fatalf("final clocks differ: sequential %v, windowed %v", seqLast, optLast)
+			}
+			if !reflect.DeepEqual(seqLogs, optLogs) {
+				t.Fatalf("per-lane firing logs differ:\nsequential %v\nwindowed   %v", seqLogs, optLogs)
+			}
+			if !tc.check(st) {
+				t.Fatalf("unexpected window statistics: %+v", st)
+			}
+		})
 	}
 }
 

@@ -1,23 +1,21 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
-// Conservative parallel execution.
+// Windowed parallel execution: the determinism argument.
 //
-// RunParallel exploits the structure of a multicomputer simulation: every
-// cross-lane (cross-node) effect is scheduled at least `lookahead` ahead of
-// the scheduling lane's clock — for our machine model, the minimum wire
-// latency. Within the virtual-time window [T, T+lookahead), where T is the
-// globally earliest pending event, each lane's events depend only on state
-// already queued on that lane, so the lanes can fire concurrently on a
-// worker pool. At the window barrier the engine replays the window's global
-// (time, seq) firing order over the per-lane birth logs to assign final
-// sequence numbers exactly as the sequential engine would have, then pushes
-// cross-lane births and advances to the next window.
+// The window driver (RunOptimistic, optimistic.go) exploits the structure of
+// a multicomputer simulation: every cross-lane (cross-node) effect is
+// scheduled at least `lookahead` ahead of the scheduling lane's clock — for
+// our machine model, the minimum wire latency. Within the virtual-time
+// window [T, T+lookahead), where T is the globally earliest pending event,
+// each lane's events depend only on state already queued on that lane, so
+// the lanes can fire concurrently on a worker pool. At the window barrier
+// the engine replays the window's global (time, seq) firing order over the
+// per-lane birth logs to assign final sequence numbers exactly as the
+// sequential engine would have, then pushes cross-lane births and advances
+// to the next window. A lookahead-width window is the conservative case;
+// optimistic.go extends it to wider, speculative windows.
 //
 // Determinism argument, in brief:
 //
@@ -53,126 +51,6 @@ const maxTime = Time(1<<63 - 1)
 // errEventLimit is the shared event-limit error of every runner.
 func errEventLimit(limit uint64, at Time) error {
 	return fmt.Errorf("sim: event limit %d exceeded at t=%v", limit, at)
-}
-
-// RunParallel fires all pending events like Run, executing independent
-// lanes concurrently on up to `workers` goroutines within successive
-// virtual-time windows of width `lookahead`. It falls back to the
-// sequential Run when parallelism cannot help (one worker, one lane, or no
-// positive lookahead). Results — event order per lane, sequence numbers,
-// and all lane-local state — are identical to a sequential Run.
-func (e *Engine) RunParallel(workers int, lookahead Time) (uint64, error) {
-	if workers <= 1 || lookahead <= 0 || len(e.lanes) <= 1 {
-		return e.Run()
-	}
-	e.stopped = false
-	e.limitHit.Store(false)
-	e.parWins = 0
-	var total uint64
-	active := make([]int32, 0, len(e.lanes))
-	for len(e.order) > 0 && !e.stopped {
-		e.parWins++
-		start := e.lanes[e.order[0]].heap[0].at
-		end := start + lookahead
-		if end < start { // overflow
-			end = maxTime
-		}
-		active = active[:0]
-		for i := range e.lanes {
-			if h := e.lanes[i].heap; len(h) > 0 && h[0].at < end {
-				active = append(active, int32(i))
-			}
-		}
-		e.provBase = e.seq
-		e.winEnd = end
-		e.inPar = true
-		if len(active) == 1 {
-			l := int(active[0])
-			e.lanes[l].winFired = e.runLaneWindow(l)
-		} else {
-			e.runWindowWorkers(active, workers)
-		}
-		e.inPar = false
-		fired, err := e.barrier(active)
-		total += fired
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// runWindowWorkers distributes the active lanes over a worker pool and
-// waits for the window to complete. A panic on any worker is re-raised on
-// the calling goroutine after all workers stop.
-func (e *Engine) runWindowWorkers(active []int32, workers int) {
-	w := workers
-	if w > len(active) {
-		w = len(active)
-	}
-	panics := make([]any, w)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[slot] = r
-				}
-			}()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(active) {
-					return
-				}
-				l := int(active[k])
-				e.lanes[l].winFired = e.runLaneWindow(l)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			e.inPar = false
-			panic(p)
-		}
-	}
-}
-
-// runLaneWindow fires lane l's events with timestamps inside the current
-// window, recording births and the fired log for the barrier. It returns
-// the number of events fired (including stopped-timer no-ops).
-func (e *Engine) runLaneWindow(l int) uint64 {
-	ln := &e.lanes[l]
-	end := e.winEnd
-	limit := e.limit
-	base := e.fired
-	var fired uint64
-	for len(ln.heap) > 0 && ln.heap[0].at < end {
-		if limit != 0 && base+fired > limit {
-			e.limitHit.Store(true)
-			break
-		}
-		ev := ln.pop()
-		ln.now = ev.at
-		kidStart := len(ln.births)
-		e.fire(l, &ev)
-		fired++
-		if kidEnd := len(ln.births); kidEnd > kidStart {
-			rec := firedRec{at: ev.at, seq: ev.seq, bref: -1,
-				kidStart: int32(kidStart), kidEnd: int32(kidEnd)}
-			if ev.seq > e.provBase {
-				rec.bref = int32(ev.seq - e.provBase - 1)
-			}
-			ln.log = append(ln.log, rec)
-		}
-		if ev.seq > e.provBase {
-			ln.births[ev.seq-e.provBase-1].consumed = true
-		}
-	}
-	return fired
 }
 
 // barrier finishes a window: it replays the global firing order over the

@@ -11,17 +11,29 @@ import (
 	"testing"
 )
 
-// The deprecated construction and observation APIs were deleted in favour of
-// NewSystem(With...) and the grouped Report(). These vet tests parse the
-// source tree so a reintroduction fails loudly instead of surviving as
-// silent legacy usage.
+// The deprecated construction, observation and execution APIs were deleted
+// in favour of NewSystem(With...), the grouped Report(), WithObserver and
+// the single parallel window driver. These vet tests parse the source tree
+// so a reintroduction fails loudly instead of surviving as silent legacy
+// usage.
 
 // bannedIdents are identifiers that belonged to the removed compatibility
-// surface: the Config struct, its constructors, and the accessor zoo on
-// System whose readings all moved into Report().
+// surface: the Config struct and its constructors, and the trace option
+// alias.
 var bannedIdents = map[string]string{
 	"NewSystemConfig":     "build the System with abcl.NewSystem(With...)",
 	"MustNewSystemConfig": "build the System with abcl.NewSystem(With...)",
+	"WithTrace":           "pass a trace.NewRing(n) to abcl.WithObserver and keep the ring",
+}
+
+// deprecatedExecutorIdents are identifiers of the removed execution surface:
+// the WithParallelSim option alias and the second (conservative-only) window
+// driver. Each maps to its replacement.
+var deprecatedExecutorIdents = map[string]string{
+	"WithParallelSim": "use abcl.WithExecutor(abcl.Conservative(n))",
+	"RunParallel":     "use Engine.RunOptimistic with a speculation ceiling equal to the lookahead",
+	"ParallelRun":     "use Machine.OptimisticRun with Window set to the lookahead",
+	"ParWindows":      "read OptStats().Windows",
 }
 
 // bannedSystemMethods are method names that must never reappear on System
@@ -38,6 +50,11 @@ var bannedSystemMethods = map[string]string{
 	"AckDelay":          "Report().Reliable.AckDelay",
 	"LocationCache":     "Report().Wire.LocationCache",
 	"CheckpointRounds":  "Report().Ckpt.Rounds",
+}
+
+// bannedSystemFields are fields that must never reappear on System.
+var bannedSystemFields = map[string]string{
+	"Trace": "pass a trace.NewRing(n) to WithObserver and keep the ring",
 }
 
 func walkGoFiles(t *testing.T, roots []string, includeTests bool, visit func(path string, f *ast.File, fset *token.FileSet)) {
@@ -71,14 +88,14 @@ func walkGoFiles(t *testing.T, roots []string, includeTests bool, visit func(pat
 }
 
 // TestNoLegacyConstruction asserts that no internal package, command or
-// example references the deleted legacy constructors.
+// example references the deleted legacy identifiers.
 func TestNoLegacyConstruction(t *testing.T) {
 	walkGoFiles(t, []string{"internal", "cmd", "examples"}, false, func(path string, f *ast.File, fset *token.FileSet) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if ok {
 				if fix, banned := bannedIdents[id.Name]; banned {
-					t.Errorf("%s: uses deleted legacy constructor %s; %s",
+					t.Errorf("%s: uses deleted legacy identifier %s; %s",
 						fset.Position(id.Pos()), id.Name, fix)
 				}
 			}
@@ -87,23 +104,15 @@ func TestNoLegacyConstruction(t *testing.T) {
 	})
 }
 
-// deprecatedIdents are identifiers that still exist for compatibility but
-// must not be reintroduced anywhere in the tree's own packages; each maps
-// to its replacement.
-var deprecatedIdents = map[string]string{
-	"WithParallelSim": "abcl.WithExecutor(abcl.Conservative(n)) — or abcl.Optimistic(n, ...)",
-}
-
 // TestNoDeprecatedExecutorOption asserts that no internal package, command
-// or example reaches for the deprecated WithParallelSim spelling: every
-// caller migrated to the unified WithExecutor API, and new code must not
-// regress to the alias.
+// or example reaches for the deleted execution surface: every caller
+// migrated to the unified WithExecutor API and the single window driver.
 func TestNoDeprecatedExecutorOption(t *testing.T) {
 	walkGoFiles(t, []string{"internal", "cmd", "examples"}, false, func(path string, f *ast.File, fset *token.FileSet) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if fix, banned := deprecatedIdents[id.Name]; banned {
-					t.Errorf("%s: uses deprecated option %s; use %s",
+				if fix, banned := deprecatedExecutorIdents[id.Name]; banned {
+					t.Errorf("%s: uses deleted executor identifier %s; %s",
 						fset.Position(id.Pos()), id.Name, fix)
 				}
 			}
@@ -113,8 +122,9 @@ func TestNoDeprecatedExecutorOption(t *testing.T) {
 }
 
 // TestNoLegacyRedeclaration asserts that the root package does not
-// re-declare the deleted compatibility surface: the Config type, its
-// constructors, or any of the removed accessor methods on System.
+// re-declare the deleted compatibility surface: the Config type, the banned
+// identifiers as functions, or any of the removed accessor methods and
+// fields on System.
 func TestNoLegacyRedeclaration(t *testing.T) {
 	rootFiles, err := filepath.Glob("*.go")
 	if err != nil {
@@ -133,8 +143,9 @@ func TestNoLegacyRedeclaration(t *testing.T) {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				name := d.Name.Name
-				if _, banned := bannedIdents[name]; banned {
-					t.Errorf("%s: re-declares deleted constructor %s", fset.Position(d.Pos()), name)
+				_, banned := bannedIdents[name]
+				if _, dep := deprecatedExecutorIdents[name]; banned || dep {
+					t.Errorf("%s: re-declares deleted %s", fset.Position(d.Pos()), name)
 				}
 				if d.Recv != nil && len(d.Recv.List) == 1 {
 					if recvNamed(d.Recv.List[0].Type) == "System" {
@@ -146,8 +157,21 @@ func TestNoLegacyRedeclaration(t *testing.T) {
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "Config" {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					if ts.Name.Name == "Config" {
 						t.Errorf("%s: re-declares the deleted Config type; use functional options", fset.Position(ts.Pos()))
+					}
+					if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.Name == "System" {
+						for _, field := range st.Fields.List {
+							for _, fn := range field.Names {
+								if fix, banned := bannedSystemFields[fn.Name]; banned {
+									t.Errorf("%s: re-declares deleted field System.%s; %s", fset.Position(fn.Pos()), fn.Name, fix)
+								}
+							}
+						}
 					}
 				}
 			}

@@ -199,10 +199,12 @@ func TestOptimisticFaultEquivalence(t *testing.T) {
 }
 
 // TestOptimisticCrashRecovery: checkpoint rounds and a crash/restart run
-// under the Time Warp executor — marker rounds are fenced (serial), but
-// the lanes speculate freely between rounds, and a rollback that crosses
-// checkpoint retention must leave the stable store able to replay exactly
-// the committed messages. Identical results to the sequential recovery.
+// under both parallel executors — marker rounds and restarts are fenced
+// (serial). Under Optimistic the lanes speculate freely between rounds, and
+// a rollback that crosses checkpoint retention must leave the stable store
+// able to replay exactly the committed messages; under Conservative the
+// same fences run with pooling on and no speculation. Both recover with a
+// report identical to the sequential recovery.
 func TestOptimisticCrashRecovery(t *testing.T) {
 	const n = 6
 	base := []abcl.Option{abcl.WithNodes(4), abcl.WithSeed(11), abcl.WithReliable()}
@@ -220,12 +222,17 @@ func TestOptimisticCrashRecovery(t *testing.T) {
 		}
 	}
 	seq := runQueens(t, n, ckptOpts(abcl.WithExecutor(abcl.Sequential()))...)
-	opt := runQueens(t, n, ckptOpts(optExec())...)
 	if seq.solutions != clean.solutions {
 		t.Fatalf("sequential recovery found %d solutions, want %d", seq.solutions, clean.solutions)
 	}
-	if !reflect.DeepEqual(seq, opt) {
-		t.Errorf("recovered runs diverge:\nseq %+v\nopt %+v", seq, opt)
+	if seq.stats.NodeRestarts == 0 {
+		t.Fatalf("sequential run never restarted: %+v", seq.stats)
+	}
+	for _, exec := range []abcl.Option{optExec(), abcl.WithExecutor(abcl.Conservative(4))} {
+		par := runQueens(t, n, ckptOpts(exec)...)
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("recovered runs diverge:\nseq %+v\npar %+v", seq, par)
+		}
 	}
 }
 
