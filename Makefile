@@ -1,7 +1,7 @@
 # Convenience targets for the ABCL/onAP1000 reproduction.
 #
-#   make tier1           build + full test suite + bench smoke + perf gate + profile smoke + runpack regress
-#   make vet-race        go vet + race-detector pass over the parallel core
+#   make tier1           build + full test suite + perfbench tests + bench smoke + perf gate + profile smoke + runpack regress
+#   make vet-race        go vet + race-detector pass over the parallel core and the root package
 #   make scenario-smoke  run every bundled fault scenario end to end
 #   make profile-smoke   run nqueens with -profile/-metrics, validate the JSONL schema
 #   make regress         re-verify every checked-in runpack under testdata/runpacks
@@ -15,9 +15,12 @@
 
 all: tier1
 
+# perfbench is a nested module, so the root `go test ./...` skips it; its
+# tests check every benchmark workload's pinned virtual-time digest.
 tier1:
 	go build ./...
 	go test ./...
+	go -C perfbench test ./...
 	go test -run xxx -bench . -benchtime 1x .
 	$(MAKE) bench-gate
 	$(MAKE) profile-smoke
@@ -25,8 +28,7 @@ tier1:
 
 vet-race:
 	go vet ./...
-	go test -race ./internal/parexec/... ./internal/core/... ./internal/sim/... ./internal/conformance/... ./internal/remote/...
-	go test -race -run 'TestWirePath|TestCrash|TestSnapshot|TestCheckpoint|TestMultiactive|TestOptimistic' .
+	go test -race . ./internal/parexec/... ./internal/core/... ./internal/sim/... ./internal/conformance/... ./internal/machine/... ./internal/remote/...
 
 scenario-smoke:
 	go run ./cmd/abclsim -workload scenario -scenario all

@@ -173,11 +173,12 @@ func (n *NodeRT) releaseFrame(f *Frame) {
 // can never bleed into a neighbor's storage.
 func (n *NodeRT) allocState(sz int) []Value {
 	if len(n.stateArena)+sz > cap(n.stateArena) {
-		// Blocks double from a small seed so lightly-populated nodes waste
-		// little and heavily-populated ones amortize quickly.
+		// Blocks double from a small seed (8 Values, 256 B) so the many
+		// nodes that host one or two objects waste little and
+		// heavily-populated ones amortize quickly.
 		blk := 2 * cap(n.stateArena)
-		if blk < 64 {
-			blk = 64
+		if blk < 8 {
+			blk = 8
 		}
 		if blk > 4096 {
 			blk = 4096

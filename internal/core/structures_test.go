@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // --- frameQueue ------------------------------------------------------------
@@ -290,6 +292,139 @@ func (s sizedPayload) SizeBytes() int { return s.n }
 func TestValueSizerInterface(t *testing.T) {
 	if AnyV(sizedPayload{n: 100}).SizeBytes() != 100 {
 		t.Error("Sizer payloads must report their own size")
+	}
+}
+
+// Value rides inline in every argument buffer, frame and wire record on the
+// message fast path: four words, one of them the interface's type word.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+type pair struct{ A, B int }
+
+// TestValueEveryKindRoundTrip checks that every kind returns exactly what
+// it was made from — float bits included — and that String and SizeBytes
+// keep their established output.
+func TestValueEveryKindRoundTrip(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nanBits := uint64(0x7ff8000000000001) // a quiet NaN with a payload bit
+	obj := (&Object{node: 5}).Addr()
+
+	cases := []struct {
+		name  string
+		v     Value
+		kind  Kind
+		str   string
+		size  int
+		check func(t *testing.T, v Value)
+	}{
+		{"nil", Nil, KindNil, "nil", 8, func(t *testing.T, v Value) {
+			if !v.IsNil() {
+				t.Error("Nil is not nil")
+			}
+		}},
+		{"int", IntV(-42), KindInt, "-42", 8, func(t *testing.T, v Value) {
+			if v.Int() != -42 {
+				t.Errorf("Int() = %d", v.Int())
+			}
+		}},
+		{"int-max", IntV(math.MaxInt64), KindInt, "9223372036854775807", 8, func(t *testing.T, v Value) {
+			if v.Int() != math.MaxInt64 {
+				t.Errorf("Int() = %d", v.Int())
+			}
+		}},
+		{"true", BoolV(true), KindBool, "true", 8, func(t *testing.T, v Value) {
+			if !v.Bool() {
+				t.Error("Bool() = false")
+			}
+		}},
+		{"false", BoolV(false), KindBool, "false", 8, func(t *testing.T, v Value) {
+			if v.Bool() {
+				t.Error("Bool() = true")
+			}
+		}},
+		{"float", FloatV(2.5), KindFloat, "2.5", 8, func(t *testing.T, v Value) {
+			if v.Float() != 2.5 {
+				t.Errorf("Float() = %g", v.Float())
+			}
+		}},
+		{"float-neg-zero", FloatV(negZero), KindFloat, "-0", 8, func(t *testing.T, v Value) {
+			if b := math.Float64bits(v.Float()); b != math.Float64bits(negZero) {
+				t.Errorf("Float() bits = %#x, want %#x", b, math.Float64bits(negZero))
+			}
+		}},
+		{"float-nan", FloatV(math.Float64frombits(nanBits)), KindFloat, "NaN", 8, func(t *testing.T, v Value) {
+			if b := math.Float64bits(v.Float()); b != nanBits {
+				t.Errorf("Float() bits = %#x, want %#x", b, nanBits)
+			}
+		}},
+		{"string-empty", StrV(""), KindString, `""`, 8, func(t *testing.T, v Value) {
+			if v.Str() != "" {
+				t.Errorf("Str() = %q", v.Str())
+			}
+		}},
+		{"string", StrV("héllo"), KindString, `"héllo"`, 14, func(t *testing.T, v Value) {
+			if v.Str() != "héllo" {
+				t.Errorf("Str() = %q", v.Str())
+			}
+		}},
+		{"ref-nil-address", RefV(NilAddress), KindRef, "addr(nil)", 8, func(t *testing.T, v Value) {
+			if v.Ref() != NilAddress || !v.Ref().IsNil() {
+				t.Errorf("Ref() = %+v, want NilAddress", v.Ref())
+			}
+		}},
+		{"ref-nil-obj", RefV(Address{Node: 3}), KindRef, "addr(nil)", 8, func(t *testing.T, v Value) {
+			if a := v.Ref(); a.Node != 3 || a.Obj != nil {
+				t.Errorf("Ref() = %+v, want node 3 with a nil Obj", a)
+			}
+		}},
+		{"ref", RefV(obj), KindRef, obj.String(), 8, func(t *testing.T, v Value) {
+			if v.Ref() != obj {
+				t.Errorf("Ref() = %+v, want %+v", v.Ref(), obj)
+			}
+		}},
+		{"any-nil", AnyV(nil), KindAny, "any(<nil>)", 32, func(t *testing.T, v Value) {
+			if v.Any() != nil {
+				t.Errorf("Any() = %v, want nil", v.Any())
+			}
+			if v.IsNil() {
+				t.Error("AnyV(nil) reports IsNil")
+			}
+		}},
+		{"any", AnyV(pair{1, 2}), KindAny, "any({1 2})", 32, func(t *testing.T, v Value) {
+			if v.Any() != (pair{1, 2}) {
+				t.Errorf("Any() = %v", v.Any())
+			}
+		}},
+		{"any-sizer", AnyV(sizedPayload{n: 100}), KindAny, "any({100})", 100, func(t *testing.T, v Value) {
+			if v.Any() != (sizedPayload{n: 100}) {
+				t.Errorf("Any() = %v", v.Any())
+			}
+		}},
+	}
+	seen := map[Kind]bool{}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			seen[c.v.Kind()] = true
+			if c.v.Kind() != c.kind {
+				t.Fatalf("Kind() = %v, want %v", c.v.Kind(), c.kind)
+			}
+			if got := c.v.String(); got != c.str {
+				t.Errorf("String() = %q, want %q", got, c.str)
+			}
+			if got := c.v.SizeBytes(); got != c.size {
+				t.Errorf("SizeBytes() = %d, want %d", got, c.size)
+			}
+			c.check(t, c.v)
+		})
+	}
+	for k := KindNil; k <= KindAny; k++ {
+		if !seen[k] {
+			t.Errorf("kind %v has no round-trip case", k)
+		}
 	}
 }
 

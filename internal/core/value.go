@@ -7,7 +7,10 @@
 // for the paper's Figure 6 comparison.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind discriminates Value payloads. Per Section 2.3 of the paper, argument
 // types are statically determined by the message pattern; Kind exists so the
@@ -49,13 +52,17 @@ func (k Kind) String() string {
 // Value is a message argument or state variable: a basic value or a mail
 // address (Section 2.1: "Messages can contain mail addresses of concurrent
 // objects as well as basic values"). The zero Value is nil.
+//
+// The layout is four words. num carries every scalar payload and a
+// reference's node number; p carries everything pointer-shaped (a
+// reference's *Object needs no boxing) plus the rarely sent string and
+// opaque payloads. Values are copied through every argument buffer, frame
+// and wire record on the message fast path, so their size is the fast
+// path's size.
 type Value struct {
 	kind Kind
-	num  int64 // int, bool (0/1), or float bits
-	f    float64
-	str  string
-	ref  Address
-	any  any
+	num  int64 // int, bool (0/1), float64 bits, or a ref's node
+	p    any   // a ref's *Object, a string, or an opaque payload
 }
 
 // Nil is the zero Value.
@@ -74,18 +81,18 @@ func BoolV(v bool) Value {
 }
 
 // FloatV makes a floating-point Value.
-func FloatV(v float64) Value { return Value{kind: KindFloat, f: v} }
+func FloatV(v float64) Value { return Value{kind: KindFloat, num: int64(math.Float64bits(v))} }
 
 // StrV makes a string Value.
-func StrV(v string) Value { return Value{kind: KindString, str: v} }
+func StrV(v string) Value { return Value{kind: KindString, p: v} }
 
 // RefV makes a mail-address Value.
-func RefV(a Address) Value { return Value{kind: KindRef, ref: a} }
+func RefV(a Address) Value { return Value{kind: KindRef, num: int64(a.Node), p: a.Obj} }
 
 // AnyV wraps an opaque application payload. The payload must be treated as
 // immutable by both sender and receiver: remote transmission does not deep
 // copy, so mutation would violate the distributed-memory model.
-func AnyV(v any) Value { return Value{kind: KindAny, any: v} }
+func AnyV(v any) Value { return Value{kind: KindAny, p: v} }
 
 // Kind returns the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -108,25 +115,26 @@ func (v Value) Bool() bool {
 // Float returns the float payload; it panics if the kind differs.
 func (v Value) Float() float64 {
 	v.mustBe(KindFloat)
-	return v.f
+	return math.Float64frombits(uint64(v.num))
 }
 
 // Str returns the string payload; it panics if the kind differs.
 func (v Value) Str() string {
 	v.mustBe(KindString)
-	return v.str
+	return v.p.(string)
 }
 
 // Ref returns the mail-address payload; it panics if the kind differs.
 func (v Value) Ref() Address {
 	v.mustBe(KindRef)
-	return v.ref
+	obj, _ := v.p.(*Object)
+	return Address{Node: int(v.num), Obj: obj}
 }
 
 // Any returns the opaque payload; it panics if the kind differs.
 func (v Value) Any() any {
 	v.mustBe(KindAny)
-	return v.any
+	return v.p
 }
 
 func (v Value) mustBe(k Kind) {
@@ -144,13 +152,13 @@ func (v Value) String() string {
 	case KindBool:
 		return fmt.Sprintf("%t", v.num != 0)
 	case KindFloat:
-		return fmt.Sprintf("%g", v.f)
+		return fmt.Sprintf("%g", v.Float())
 	case KindString:
-		return fmt.Sprintf("%q", v.str)
+		return fmt.Sprintf("%q", v.Str())
 	case KindRef:
-		return v.ref.String()
+		return v.Ref().String()
 	case KindAny:
-		return fmt.Sprintf("any(%v)", v.any)
+		return fmt.Sprintf("any(%v)", v.p)
 	default:
 		return "?"
 	}
@@ -164,9 +172,9 @@ func (v Value) SizeBytes() int {
 	case KindNil, KindInt, KindBool, KindFloat, KindRef:
 		return 8
 	case KindString:
-		return 8 + len(v.str)
+		return 8 + len(v.Str())
 	case KindAny:
-		if s, ok := v.any.(Sizer); ok {
+		if s, ok := v.p.(Sizer); ok {
 			return s.SizeBytes()
 		}
 		return 32

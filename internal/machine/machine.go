@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/slab"
 )
 
 // NetConfig models hardware message latency. The total hardware latency of
@@ -141,6 +142,15 @@ type Packet struct {
 	// can account logical traffic separately from packet launches.
 	Msgs int
 
+	// OnArrive, if set, runs in engine context the moment the packet
+	// reaches the destination's message controller — before the software
+	// handler is scheduled, and regardless of how backlogged or paused the
+	// receiving processor is. It models hardware-level actions such as
+	// transport acknowledgments. A packet with OnArrive set and a nil
+	// Handler is consumed entirely at the controller and never enters the
+	// receive queue.
+	OnArrive func(n *Node, p *Packet)
+
 	// Ctrl routes the packet over the link's control virtual channel:
 	// transport acknowledgments and similar protocol traffic that must not
 	// queue behind the data stream. Data sends record their arrival into the
@@ -150,15 +160,6 @@ type Packet struct {
 	// data that, in hardware terms, has not departed yet. The control channel
 	// keeps its own FIFO clamp instead.
 	Ctrl bool
-
-	// OnArrive, if set, runs in engine context the moment the packet
-	// reaches the destination's message controller — before the software
-	// handler is scheduled, and regardless of how backlogged or paused the
-	// receiving processor is. It models hardware-level actions such as
-	// transport acknowledgments. A packet with OnArrive set and a nil
-	// Handler is consumed entirely at the controller and never enters the
-	// receive queue.
-	OnArrive func(n *Node, p *Packet)
 
 	// pooled marks packets obtained from AcquirePacket; the machine
 	// recycles them into the receiving node's free list once consumed.
@@ -170,6 +171,9 @@ type Packet struct {
 	// still in flight from the rolled-back timeline: a stale-era packet is
 	// discarded at the destination controller instead of delivered.
 	era uint32
+
+	// next links a recycled packet into its node's free list.
+	next *Packet
 }
 
 // Retain removes p from pool management: the machine will not recycle or
@@ -177,22 +181,25 @@ type Packet struct {
 // handler call (e.g. a reorder buffer) must call Retain first.
 func (p *Packet) Retain() { p.pooled = false }
 
-// AcquirePacket returns a zeroed packet from the node's free list (or a new
-// one), marked for recycling at the receiver once its handler has run.
+// AcquirePacket returns a zeroed packet from the node's free list, or else
+// carved from the node's slab, marked for recycling at the receiver once its
+// handler has run.
 func (n *Node) AcquirePacket() *Packet {
 	if n.m.opt {
 		// Optimistic mode: a rollback may replay this packet's delivery, so
-		// it must never be recycled out from under the restored event.
-		return &Packet{}
+		// it must never be recycled out from under the restored event. The
+		// slab never hands a record out twice, so it is still safe here.
+		return n.pktSlab.New()
 	}
-	if last := len(n.pktFree) - 1; last >= 0 {
-		p := n.pktFree[last]
-		n.pktFree[last] = nil
-		n.pktFree = n.pktFree[:last]
-		p.pooled = true
-		return p
+	p := n.pktFree
+	if p != nil {
+		n.pktFree = p.next
+		p.next = nil
+	} else {
+		p = n.pktSlab.New()
 	}
-	return &Packet{pooled: true}
+	p.pooled = true
+	return p
 }
 
 // ReleasePacket returns a pooled packet to this node's free list. Calling
@@ -202,8 +209,8 @@ func (n *Node) ReleasePacket(p *Packet) {
 	if !p.pooled {
 		return
 	}
-	*p = Packet{}
-	n.pktFree = append(n.pktFree, p)
+	*p = Packet{next: n.pktFree}
+	n.pktFree = p
 }
 
 // Runner is the per-node scheduler installed by the language runtime.
@@ -221,9 +228,10 @@ type Node struct {
 	Busy  sim.Time // accumulated compute time, for utilization
 
 	m             *Machine
-	lane          int       // engine event lane (node ID + 1; lane 0 is the host)
-	rx            []*Packet // delivered packets awaiting poll, in arrival order
-	pktFree       []*Packet // recycled packets available to AcquirePacket
+	lane          int               // engine event lane (node ID + 1; lane 0 is the host)
+	rx            []*Packet         // delivered packets awaiting poll, in arrival order
+	pktFree       *Packet           // recycled packets available to AcquirePacket
+	pktSlab       slab.Slab[Packet] // fresh packets once pktFree is empty
 	lastArrival   []sim.Time
 	lastCtrl      []sim.Time // FIFO clamp of the control virtual channel
 	Runner        Runner
@@ -534,8 +542,8 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 	for i, extra := range copies {
 		cp := p
 		if i > 0 {
-			dup := *p
-			cp = &dup
+			cp = n.pktSlab.New()
+			*cp = *p
 			n.PacketsDuped++
 			if n.m.faultSink != nil {
 				n.m.faultSink.PacketDuplicated(n.ID, p.Dst, at, p.Category)

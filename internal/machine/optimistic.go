@@ -15,7 +15,8 @@ import "repro/internal/sim"
 
 // SetOptimistic switches the machine into optimistic-execution mode:
 // AcquirePacket stops drawing from the per-node free lists and every packet
-// becomes garbage-collected rather than recycled. Call before Run.
+// is carved fresh from the node's slab and garbage-collected rather than
+// recycled. Call before Run.
 func (m *Machine) SetOptimistic() { m.opt = true }
 
 // Optimistic reports whether the machine is in optimistic-execution mode.

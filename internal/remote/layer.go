@@ -7,6 +7,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -133,9 +134,9 @@ type Layer struct {
 // duplicate packets (see wirePooled): a duplicated packet shares the record
 // and the handler runs once per copy.
 type wireMsg struct {
-	kind      uint8
 	src       int
 	load      int32
+	kind      uint8
 	to        core.Address   // wmMessage: receiver
 	pat       core.PatternID // wmMessage: pattern
 	args      []core.Value   // message or constructor arguments (owned copy)
@@ -146,6 +147,7 @@ type wireMsg struct {
 	entry     *stockEntry        // requester's stock slot, carried through the round trip
 	then      func()             // wmChunk: blocked-creation resume
 	onCreated func(core.Address) // wmBlockingCreate: requester callback
+	next      *wireMsg           // free-list link while recycled
 }
 
 const (
@@ -192,24 +194,27 @@ func (l *Layer) wirePooled() bool {
 	return l.m.Faults() == nil || l.rel != nil
 }
 
+// acquireWire returns a zeroed payload record for a send from src: a
+// recycled one when src's free list has any, else one carved from src's
+// slab. When records are never recycled (see wirePooled) every record comes
+// from the slab.
 func (l *Layer) acquireWire(src int) *wireMsg {
 	ns := l.nodes[src]
-	if last := len(ns.wireFree) - 1; last >= 0 {
-		w := ns.wireFree[last]
-		ns.wireFree[last] = nil
-		ns.wireFree = ns.wireFree[:last]
+	if w := ns.wireFree; w != nil {
+		ns.wireFree = w.next
+		w.next = nil
 		return w
 	}
-	return &wireMsg{}
+	return ns.wireSlab.New()
 }
 
 func (l *Layer) releaseWire(dst int, w *wireMsg) {
 	if !l.wirePooled() {
 		return
 	}
-	*w = wireMsg{}
 	ns := l.nodes[dst]
-	ns.wireFree = append(ns.wireFree, w)
+	*w = wireMsg{next: ns.wireFree}
+	ns.wireFree = w
 }
 
 // handleWire is the single receive-side dispatcher for categories 1-3: the
@@ -342,9 +347,10 @@ type nodeState struct {
 	loadAt []sim.Time // arrival time of each load sample (staleness horizon)
 	sent   [3]uint64  // category 1/2/3 sends, node-local (lane-safe)
 
-	wireFree  []*wireMsg   // recycled payload records (lane-local)
-	batchFree []*wireBatch // recycled batch containers (lane-local)
-	batchPos  int          // 1-based record cursor while delivering a batch
+	wireFree  *wireMsg           // recycled payload records (lane-local)
+	wireSlab  slab.Slab[wireMsg] // fresh payload records once wireFree is empty
+	batchFree []*wireBatch       // recycled batch containers (lane-local)
+	batchPos  int                // 1-based record cursor while delivering a batch
 
 	// Remote-location cache: stale address -> latest known home, filled by
 	// wmLocUpd messages from forwarding nodes. advert is the forwarding

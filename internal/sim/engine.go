@@ -54,9 +54,10 @@ func (t Time) String() string {
 }
 
 // Kind identifies how an event is dispatched when it fires. Kind 0 is a
-// plain captured closure; kind 1 is a cancelable Timer slot; kinds obtained
-// from RegisterHandler dispatch through a registered handler function with a
-// payload, avoiding a closure allocation per event.
+// plain captured closure, carried as the event's payload; kind 1 is a
+// cancelable Timer slot; kinds obtained from RegisterHandler dispatch
+// through a registered handler function with a payload, avoiding a closure
+// allocation per event.
 type Kind uint8
 
 const (
@@ -65,12 +66,14 @@ const (
 	kindHandlerBase
 )
 
-// event is a scheduled callback, stored by value in a lane heap.
+// event is a scheduled callback, stored by value in a lane heap. Every
+// payload rides in arg: a kindClosure event's func(), a kindTimer event's
+// *Timer, a handler's argument. Func values and pointers are pointer-shaped,
+// so storing them in an interface does not allocate.
 type event struct {
 	at   Time
 	seq  uint64
 	kind Kind
-	fn   func()
 	arg  any
 }
 
@@ -89,7 +92,6 @@ type birth struct {
 	dst      int32
 	kind     Kind
 	consumed bool // already fired inside the window (same-lane, in-window)
-	fn       func()
 	arg      any
 }
 
@@ -294,19 +296,19 @@ func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 // dst is the lane the event should fire on. Outside parallel windows the
 // event receives its final sequence number immediately; inside a window it
 // is recorded as a birth on src and sequenced at the barrier.
-func (e *Engine) post(src, dst int, at Time, kind Kind, fn func(), arg any) {
+func (e *Engine) post(src, dst int, at Time, kind Kind, arg any) {
 	if e.inPar {
 		sl := &e.lanes[src]
 		if at < sl.now {
 			at = sl.now
 		}
 		idx := len(sl.births)
-		sl.births = append(sl.births, birth{at: at, dst: int32(dst), kind: kind, fn: fn, arg: arg})
+		sl.births = append(sl.births, birth{at: at, dst: int32(dst), kind: kind, arg: arg})
 		if dst == src && at < e.winEnd {
 			// Same-lane and inside the window: insert immediately with a
 			// provisional sequence number that encodes the birth index and
 			// preserves lane-local order (see parallel.go).
-			sl.push(event{at: at, seq: e.provBase + 1 + uint64(idx), kind: kind, fn: fn, arg: arg})
+			sl.push(event{at: at, seq: e.provBase + 1 + uint64(idx), kind: kind, arg: arg})
 		} else if dst != src && at < e.winEnd {
 			// A cross-lane birth inside the window: impossible under the
 			// conservative lookahead, a straggler under speculation — the
@@ -321,7 +323,7 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, fn func(), arg any) {
 	e.seq++
 	ln := &e.lanes[dst]
 	wasEmpty := len(ln.heap) == 0
-	ln.push(event{at: at, seq: e.seq, kind: kind, fn: fn, arg: arg})
+	ln.push(event{at: at, seq: e.seq, kind: kind, arg: arg})
 	if wasEmpty {
 		e.orderAdd(dst)
 	} else if ln.heap[0].seq == e.seq {
@@ -333,19 +335,19 @@ func (e *Engine) post(src, dst int, at Time, kind Kind, fn func(), arg any) {
 // Schedule enqueues fire to run at virtual time at, on lane 0. Scheduling
 // in the past (at < Now) is clamped to Now, preserving causality.
 func (e *Engine) Schedule(at Time, fire func()) {
-	e.post(0, 0, at, kindClosure, fire, nil)
+	e.post(0, 0, at, kindClosure, fire)
 }
 
 // ScheduleOn enqueues a typed event with payload arg to fire on lane dst at
 // virtual time at, scheduled on behalf of lane src.
 func (e *Engine) ScheduleOn(src, dst int, at Time, kind Kind, arg any) {
-	e.post(src, dst, at, kind, nil, arg)
+	e.post(src, dst, at, kind, arg)
 }
 
 // ScheduleFuncOn enqueues a closure event to fire on lane dst at virtual
 // time at, scheduled on behalf of lane src.
 func (e *Engine) ScheduleFuncOn(src, dst int, at Time, fire func()) {
-	e.post(src, dst, at, kindClosure, fire, nil)
+	e.post(src, dst, at, kindClosure, fire)
 }
 
 // After enqueues fire to run d nanoseconds after the current time, on
@@ -364,7 +366,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 func (e *Engine) fire(l int, ev *event) {
 	switch ev.kind {
 	case kindClosure:
-		ev.fn()
+		ev.arg.(func())()
 	case kindTimer:
 		t := ev.arg.(*Timer)
 		t.pending = false
@@ -603,7 +605,7 @@ func (e *Engine) StartTimer(src, lane int, t *Timer, d Time, fn func()) {
 	if e.inPar {
 		now = e.lanes[src].now
 	}
-	e.post(src, lane, now+d, kindTimer, nil, t)
+	e.post(src, lane, now+d, kindTimer, t)
 }
 
 // AfterTimer schedules fire to run d nanoseconds from now on lane 0 unless

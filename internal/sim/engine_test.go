@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineEmptyRun(t *testing.T) {
@@ -277,5 +278,31 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if (9 * Microsecond).Micros() != 9.0 {
 		t.Error("Micros conversion wrong")
+	}
+}
+
+// TestEventLayout guards the lane heaps' element size and the promise that
+// carrying a closure in the event payload costs no allocation: a func value
+// is pointer-shaped, so storing it in the interface does not box it.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 40 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want <= 40", got)
+	}
+	e := NewEngine()
+	e.SetLanes(2)
+	n := 0
+	fire := func() { n++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		e.ScheduleFuncOn(0, 1, e.Now()+1, fire)
+		e.Schedule(e.Now()+2, fire)
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("closure events allocate %.1f objects per run, want 0", allocs)
+	}
+	if n != 2*101 {
+		t.Errorf("fired %d closures, want %d", n, 2*101)
 	}
 }

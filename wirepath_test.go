@@ -286,3 +286,83 @@ func TestWirePathLocationCacheDisabled(t *testing.T) {
 		t.Errorf("cache disabled but active: hits=%d misses=%d", c.LocCacheHits, c.LocCacheMisses)
 	}
 }
+
+// a2aBurst sets up an all-to-all program on a fresh system: every node's
+// source object, kicked, sends rounds past-type messages to every other
+// node's peer. The returned burst kicks every source and runs the system to
+// quiescence; it can be called repeatedly.
+func a2aBurst(t *testing.T, nodes, rounds int) (burst func(), delivered func() int) {
+	t.Helper()
+	sys, err := abcl.NewSystem(abcl.WithNodes(nodes), abcl.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := sys.Pattern("a2a.hit", 2)
+	kick := sys.Pattern("a2a.kick", 0)
+	got := 0
+	peerCls := sys.Class("a2a.peer", 0, nil)
+	peerCls.Method(hit, func(ctx *abcl.Ctx) { got++ })
+	peers := make([]abcl.Address, nodes)
+	for i := range peers {
+		peers[i] = sys.NewObjectOn(i, peerCls)
+	}
+	srcCls := sys.Class("a2a.src", 0, nil)
+	srcCls.Method(kick, func(ctx *abcl.Ctx) {
+		me := ctx.NodeID()
+		for d := range peers {
+			if d == me {
+				continue
+			}
+			for r := 0; r < rounds; r++ {
+				ctx.SendPast(peers[d], hit, abcl.Int(int64(me)), abcl.Int(int64(r)))
+			}
+		}
+	})
+	srcs := make([]abcl.Address, nodes)
+	for i := range srcs {
+		srcs[i] = sys.NewObjectOn(i, srcCls)
+	}
+	burst = func() {
+		for _, s := range srcs {
+			sys.Send(s, kick)
+		}
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return burst, func() int { return got }
+}
+
+// TestWirePathBurstAllocs holds the all-to-all wire path to ROADMAP's
+// allocation target of at most 0.1 heap objects per message, in two shapes.
+// A repeated 1-round burst on one system measures the recycled steady state:
+// packets, wire records, lane heaps and receive queues all come back from
+// the previous burst. A fresh system's first 8-round burst measures the cold
+// path, where nothing has been recycled yet and every record is carved from
+// a per-node slab; one heap object per record would cost at least two per
+// message here.
+func TestWirePathBurstAllocs(t *testing.T) {
+	const nodes, maxPerMsg = 128, 0.1
+	msgs := func(rounds int) float64 { return float64(nodes * (nodes - 1) * rounds) }
+
+	burst, delivered := a2aBurst(t, nodes, 1)
+	if warm := testing.AllocsPerRun(4, burst) / msgs(1); warm > maxPerMsg {
+		t.Errorf("repeated 1-round burst: %.3f allocs per message, want <= %.1f", warm, maxPerMsg)
+	}
+	if d := delivered(); d != 5*int(msgs(1)) {
+		t.Fatalf("delivered %d messages, want %d", d, 5*int(msgs(1)))
+	}
+
+	// AllocsPerRun calls f once to warm up before the measured call, so the
+	// cold measurement needs two fresh systems.
+	var fresh []func()
+	for i := 0; i < 2; i++ {
+		b, _ := a2aBurst(t, nodes, 8)
+		fresh = append(fresh, b)
+	}
+	next := 0
+	cold := testing.AllocsPerRun(1, func() { fresh[next](); next++ }) / msgs(8)
+	if cold > maxPerMsg {
+		t.Errorf("first 8-round burst: %.3f allocs per message, want <= %.1f", cold, maxPerMsg)
+	}
+}
