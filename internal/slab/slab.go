@@ -15,7 +15,7 @@ package slab
 
 // Blocks double from minBlock up to maxBlock records. The cap is small on
 // purpose: a 64-record block of 192-byte wire records is 12 KiB, a size
-// the runtime packs several to a span. Blocks of whole pages (256 records
+// the runtime packs two to a span. Blocks of whole pages (256 records
 // is 48 KiB) die together after a burst and free long page runs, which the
 // runtime returns to the operating system; the next burst then pays a page
 // fault for every page it touches again, which costs more than the
