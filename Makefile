@@ -28,7 +28,7 @@ tier1:
 
 vet-race:
 	go vet ./...
-	go test -race . ./internal/parexec/... ./internal/core/... ./internal/sim/... ./internal/conformance/... ./internal/machine/... ./internal/remote/...
+	go test -race . ./internal/parexec/... ./internal/core/... ./internal/sim/... ./internal/conformance/... ./internal/machine/... ./internal/remote/... ./internal/fault/...
 
 scenario-smoke:
 	go run ./cmd/abclsim -workload scenario -scenario all

@@ -16,16 +16,20 @@ type replyState struct {
 	waiterF   *Frame
 }
 
+// replyDest is a reply destination object and its payload, allocated
+// together: one heap object per now-type send instead of two.
+type replyDest struct {
+	obj Object
+	rd  replyState
+}
+
 // newReplyDest allocates a reply destination object on node n.
 func (n *NodeRT) newReplyDest() *Object {
 	n.rt.Freeze()
-	obj := &Object{
-		node: n.id,
-		vftp: n.rt.replyVFT,
-		rd:   &replyState{},
-	}
-	n.rt.trackObject(n.id, obj)
-	return obj
+	d := &replyDest{obj: Object{node: n.id, vftp: n.rt.replyVFT}}
+	d.obj.rd = &d.rd
+	n.rt.trackObject(n.id, &d.obj)
+	return &d.obj
 }
 
 // IsReplyDest reports whether the object is a reply destination.

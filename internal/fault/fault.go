@@ -198,6 +198,15 @@ func (ls *linkState) unit() float64 {
 	return float64(ls.next()>>11) / float64(1<<53)
 }
 
+// jitter returns a uniform draw from [0, max], consuming no randomness
+// when the rule has no jitter.
+func (ls *linkState) jitter(max sim.Time) sim.Time {
+	if max <= 0 {
+		return 0
+	}
+	return sim.Time(ls.next() % uint64(max+1))
+}
+
 // Injector binds a Plan to a seed and node count. It implements
 // machine.FaultModel and keeps whole-run fault totals for reports.
 type Injector struct {
@@ -322,20 +331,18 @@ func (in *Injector) link(src, dst int) *linkState {
 	return ls
 }
 
-// clean is the fault-free outcome, shared to keep unaffected links
-// allocation-free.
-var clean = []sim.Time{0}
-
 // Link implements machine.FaultModel: decide the fate of one transmission
-// attempt. Local (src == dst) traffic never traverses a link and is exempt.
-func (in *Injector) Link(src, dst int, at sim.Time, size int) []sim.Time {
+// attempt — how many copies reach dst (0 drops it, 2 duplicates it) and
+// the extra latency of each. Local (src == dst) traffic never traverses a
+// link and is exempt.
+func (in *Injector) Link(src, dst int, at sim.Time, size int) (copies int, extra [2]sim.Time) {
 	if src == dst {
-		return clean
+		return 1, extra
 	}
 	ls := in.link(src, dst)
 	r := ls.rule
 	if r == nil {
-		return clean
+		return 1, extra
 	}
 	// Draw in a fixed order (drop, jitter, dup, dup-jitter) so the stream
 	// consumption per attempt is schedule-independent.
@@ -345,24 +352,19 @@ func (in *Injector) Link(src, dst int, at sim.Time, size int) []sim.Time {
 		} else {
 			in.drops.Add(1)
 		}
-		return nil
+		return 0, extra
 	}
-	jitter := func() sim.Time {
-		if r.Jitter <= 0 {
-			return 0
-		}
-		return sim.Time(ls.next() % uint64(r.Jitter+1))
-	}
-	out := []sim.Time{jitter()}
+	extra[0] = ls.jitter(r.Jitter)
 	if r.Dup > 0 && ls.unit() < r.Dup {
 		if in.opt {
 			in.tallies[src].dups++
 		} else {
 			in.dups.Add(1)
 		}
-		out = append(out, jitter())
+		extra[1] = ls.jitter(r.Jitter)
+		return 2, extra
 	}
-	return out
+	return 1, extra
 }
 
 // PausedUntil implements machine.FaultModel: the end of the pause window

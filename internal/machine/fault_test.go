@@ -13,13 +13,14 @@ type scriptFaults struct {
 	paused   map[int][2]sim.Time // node -> [start, end)
 }
 
-func (s *scriptFaults) Link(src, dst int, at sim.Time, size int) []sim.Time {
+func (s *scriptFaults) Link(src, dst int, at sim.Time, size int) (int, [2]sim.Time) {
+	var extra [2]sim.Time
 	if len(s.outcomes) == 0 {
-		return []sim.Time{0}
+		return 1, extra
 	}
 	out := s.outcomes[0]
 	s.outcomes = s.outcomes[1:]
-	return out
+	return copy(extra[:], out), extra
 }
 
 func (s *scriptFaults) PausedUntil(node int, at sim.Time) sim.Time {

@@ -92,11 +92,12 @@ func (c Config) InstrTime(instr int) sim.Time {
 // calls must return the same answers (package fault provides a seed-driven
 // implementation). A nil model means a perfectly reliable machine.
 type FaultModel interface {
-	// Link is consulted once per packet transmission and returns the extra
-	// latency of every physical copy to deliver. A one-element slice {0} is
-	// normal delivery; an empty slice drops the packet; more than one
-	// element duplicates it, each copy with its own extra latency.
-	Link(src, dst int, at sim.Time, size int) []sim.Time
+	// Link is consulted once per packet transmission and returns how many
+	// physical copies to deliver — 0 drops the packet, 1 is normal
+	// delivery, 2 duplicates it — and the extra latency of each copy in
+	// extra[:copies]. Returning the schedule by value keeps the per-attempt
+	// call allocation-free.
+	Link(src, dst int, at sim.Time, size int) (copies int, extra [2]sim.Time)
 	// PausedUntil reports the virtual time until which node is paused at
 	// time at. A result <= at means the node is running normally. Pauses
 	// take effect at turn boundaries: a turn already under way completes.
@@ -128,19 +129,24 @@ func (m *Machine) FaultSink() FaultSink { return m.faultSink }
 // Packet is a self-dispatching message in the Active Message style: the
 // sender attaches the handler that runs on the receiving node when the
 // packet is polled. Payload is opaque to the machine layer.
+//
+// The layout is 96 bytes (TestPacketLayout): node ids, sizes and counts are
+// 32-bit and the flags share one word with the era, which leaves room for
+// the transport header of the reliable protocol above without growing the
+// packets every other send path carves.
 type Packet struct {
-	Src, Dst int
-	Size     int // bytes, for bandwidth modelling
-	Arrival  sim.Time
-	Category int // handler category (for statistics only)
-	Handler  func(n *Node, p *Packet)
-	Payload  any
+	Src, Dst int32
+	Size     int32 // bytes, for bandwidth modelling
 
 	// Msgs is the number of logical messages this physical packet carries.
 	// Zero and one both mean an ordinary single-message packet; the wire-path
 	// batching layer sets it to the count of coalesced records so the machine
 	// can account logical traffic separately from packet launches.
-	Msgs int
+	Msgs int32
+
+	Arrival sim.Time
+	Handler func(n *Node, p *Packet)
+	Payload any
 
 	// OnArrive, if set, runs in engine context the moment the packet
 	// reaches the destination's message controller — before the software
@@ -150,6 +156,25 @@ type Packet struct {
 	// Handler is consumed entirely at the controller and never enters the
 	// receive queue.
 	OnArrive func(n *Node, p *Packet)
+
+	// Transport header of the reliable protocol layered above the machine
+	// (package remote); the machine never reads it. Every physical copy
+	// carries its own header, so the handlers that interpret it are bound
+	// once per layer instead of built per packet. Seq numbers a data copy
+	// on its (Src, Dst) link. With HasAck set the packet also acknowledges
+	// the reverse link: every seq below AckCum, plus the out-of-order seqs
+	// in *AckSel (nil on almost every ack; shared read-only by every copy).
+	Seq    uint64
+	AckCum uint64
+	AckSel *[]uint64
+
+	// era stamps the machine era the packet was launched in. A global
+	// checkpoint restore bumps the machine's era, revoking every packet
+	// still in flight from the rolled-back timeline: a stale-era packet is
+	// discarded at the destination controller instead of delivered.
+	era uint32
+
+	Category uint8 // handler category (for statistics only)
 
 	// Ctrl routes the packet over the link's control virtual channel:
 	// transport acknowledgments and similar protocol traffic that must not
@@ -161,16 +186,13 @@ type Packet struct {
 	// keeps its own FIFO clamp instead.
 	Ctrl bool
 
+	HasAck bool // the transport header's AckCum/AckSel are set
+
 	// pooled marks packets obtained from AcquirePacket; the machine
 	// recycles them into the receiving node's free list once consumed.
-	// Packets built as plain literals are never recycled.
+	// Packets built as plain literals or carved by AcquireCtrlPacket are
+	// never recycled.
 	pooled bool
-
-	// era stamps the machine era the packet was launched in. A global
-	// checkpoint restore bumps the machine's era, revoking every packet
-	// still in flight from the rolled-back timeline: a stale-era packet is
-	// discarded at the destination controller instead of delivered.
-	era uint32
 
 	// next links a recycled packet into its node's free list.
 	next *Packet
@@ -213,6 +235,14 @@ func (n *Node) ReleasePacket(p *Packet) {
 	n.pktFree = p
 }
 
+// AcquireCtrlPacket returns a zeroed packet carved from the node's control
+// slab, for controller traffic such as transport acknowledgments. Control
+// packets are never recycled: a block of them dies once every packet carved
+// from it has been consumed. Keeping them off the free lists matters
+// because acks flow opposite to data: recycled at the data sender, they
+// would pile up on free lists that node's own sends already keep full.
+func (n *Node) AcquireCtrlPacket() *Packet { return n.ctrlSlab.New() }
+
 // Runner is the per-node scheduler installed by the language runtime.
 // Step runs one scheduling quantum (typically: dispatch one buffered
 // message) and reports whether more queued work remains.
@@ -232,6 +262,7 @@ type Node struct {
 	rx            []*Packet         // delivered packets awaiting poll, in arrival order
 	pktFree       *Packet           // recycled packets available to AcquirePacket
 	pktSlab       slab.Slab[Packet] // fresh packets once pktFree is empty
+	ctrlSlab      slab.Slab[Packet] // never-recycled controller packets
 	lastArrival   []sim.Time
 	lastCtrl      []sim.Time // FIFO clamp of the control virtual channel
 	Runner        Runner
@@ -371,7 +402,7 @@ func New(cfg Config) (*Machine, error) {
 	m.Eng.SetLanes(cfg.Nodes + 1)
 	m.deliverKind = m.Eng.RegisterHandler(func(at sim.Time, arg any) {
 		p := arg.(*Packet)
-		m.nodes[p.Dst].deliver(p)
+		m.nodes[int(p.Dst)].deliver(p)
 	})
 	m.resumeKind = m.Eng.RegisterHandler(func(at sim.Time, arg any) {
 		arg.(*Node).resumeAt(at)
@@ -507,14 +538,15 @@ func (n *Node) ControllerSend(at sim.Time, p *Packet) sim.Time {
 }
 
 func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
-	if p.Dst < 0 || p.Dst >= len(n.m.nodes) {
+	if p.Dst < 0 || int(p.Dst) >= len(n.m.nodes) {
 		panic(fmt.Sprintf("machine: send to invalid node %d", p.Dst))
 	}
-	p.Src = n.ID
+	p.Src = int32(n.ID)
 	p.era = n.m.era
-	dst := n.m.nodes[p.Dst]
-	hops := n.m.Cfg.Topology.Hops(n.ID, p.Dst)
-	base := n.m.Cfg.Net.Latency(hops, p.Size)
+	dstID := int(p.Dst)
+	dst := n.m.nodes[dstID]
+	hops := n.m.Cfg.Topology.Hops(n.ID, dstID)
+	base := n.m.Cfg.Net.Latency(hops, int(p.Size))
 
 	n.PacketsSent++
 	n.BytesSent += uint64(p.Size)
@@ -524,32 +556,34 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 		n.MsgsSent++
 	}
 
-	// Consult the fault model: one extra-latency entry per physical copy.
-	copies := oneCopy
+	// Consult the fault model: the number of physical copies and the extra
+	// latency of each.
+	copies := 1
+	var extra [2]sim.Time
 	if n.m.faults != nil {
-		copies = n.m.faults.Link(n.ID, p.Dst, at, p.Size)
+		copies, extra = n.m.faults.Link(n.ID, dstID, at, int(p.Size))
 	}
-	if len(copies) == 0 {
+	if copies == 0 {
 		n.PacketsDropped++
 		if n.m.faultSink != nil {
-			n.m.faultSink.PacketDropped(n.ID, p.Dst, at, p.Category)
+			n.m.faultSink.PacketDropped(n.ID, dstID, at, int(p.Category))
 		}
 		// The packet never reaches a receiver, so the sender recycles it.
 		n.ReleasePacket(p)
 		return Dropped
 	}
 	first := Dropped
-	for i, extra := range copies {
+	for i := 0; i < copies; i++ {
 		cp := p
 		if i > 0 {
 			cp = n.pktSlab.New()
 			*cp = *p
 			n.PacketsDuped++
 			if n.m.faultSink != nil {
-				n.m.faultSink.PacketDuplicated(n.ID, p.Dst, at, p.Category)
+				n.m.faultSink.PacketDuplicated(n.ID, dstID, at, int(p.Category))
 			}
 		}
-		arrival := at + base + extra
+		arrival := at + base + extra[i]
 		// Per-(src,dst) FIFO ordering is enforced per copy (the paper's
 		// "preservation of transmission order"): jitter delays but never
 		// reorders a link; only drop+retransmit can reorder logically.
@@ -574,10 +608,6 @@ func (n *Node) sendAt(at sim.Time, p *Packet) sim.Time {
 
 // Dropped is returned by Send when the fault model discarded the packet.
 const Dropped = sim.Time(-1)
-
-// oneCopy is the fault-free delivery schedule, shared to keep the common
-// path allocation-free.
-var oneCopy = []sim.Time{0}
 
 // BeginOutage crashes the node until the given virtual time: all packets
 // already in its receive queue are lost, and packets arriving while the node

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -413,10 +414,10 @@ func TestFIFOUnderRandomStormProperty(t *testing.T) {
 			k := key{src, dst}
 			sent[k] = append(sent[k], id)
 			m.Node(src).Send(&Packet{
-				Dst:  dst,
-				Size: 8 + rng.Intn(2000),
+				Dst:  int32(dst),
+				Size: int32(8 + rng.Intn(2000)),
 				Handler: func(n *Node, p *Packet) {
-					recvd[key{p.Src, n.ID}] = append(recvd[key{p.Src, n.ID}], id)
+					recvd[key{int(p.Src), n.ID}] = append(recvd[key{int(p.Src), n.ID}], id)
 				},
 			})
 		}
@@ -438,5 +439,14 @@ func TestFIFOUnderRandomStormProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPacketLayout pins the packet size. Every send carves a Packet from a
+// per-node slab, so its size is bytes per message on every workload; the
+// reliable protocol's transport header must fit in the same 96 bytes.
+func TestPacketLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 96 {
+		t.Errorf("unsafe.Sizeof(Packet{}) = %d, want 96", got)
 	}
 }

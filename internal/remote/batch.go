@@ -93,7 +93,7 @@ func (b *batcher) link(mn *machine.Node, dst int) *linkBatch {
 // enqueue defers pkt into the link's open batch, opening one (and arming its
 // flush timer) if the link was idle.
 func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
-	lb := b.link(mn, pkt.Dst)
+	lb := b.link(mn, int(pkt.Dst))
 	// The window bounds the spread of the records' *write clocks*, not just
 	// the flush timer: a long method body advances the processor clock far
 	// beyond the lane's event time, and its flush timer cannot fire until the
@@ -126,7 +126,7 @@ func (b *batcher) enqueue(mn *machine.Node, pkt *machine.Packet) {
 		}
 	}
 	lb.pkts = append(lb.pkts, pkt)
-	lb.bytes += pkt.Size
+	lb.bytes += int(pkt.Size)
 	if mn.Clock > lb.maxClock {
 		lb.maxClock = mn.Clock
 	}
@@ -167,7 +167,7 @@ func (lb *linkBatch) flush() {
 		p := lb.pkts[0]
 		lb.reset()
 		if l.rel != nil {
-			p.Size += l.rel.piggybackOnPacket(mn, p, at)
+			p.Size += int32(l.rel.piggyback(mn, p, at))
 		}
 		mn.ControllerSend(at, p)
 		return
@@ -176,23 +176,25 @@ func (lb *linkBatch) flush() {
 	wb.pkts = append(wb.pkts, lb.pkts...)
 	size := packetHeaderBytes + lb.bytes - n*batchHeaderSave
 	lb.reset()
+	pkt := mn.AcquirePacket()
+	pkt.Dst = int32(lb.dst)
+	pkt.Category = CatBatch
 	if l.rel != nil {
 		// A reverse-direction batch carries any acknowledgments this node
 		// owes the destination for free (plus a few bytes of framing).
-		size += l.rel.piggybackAck(mn, lb.dst, wb, at)
+		size += l.rel.piggyback(mn, pkt, at)
 	}
-	pkt := mn.AcquirePacket()
-	pkt.Dst = lb.dst
-	pkt.Size = size
-	pkt.Category = CatBatch
-	pkt.Msgs = n
+	pkt.Size = int32(size)
+	pkt.Msgs = int32(n)
 	pkt.Payload = wb
 	pkt.OnArrive = l.hBatchArr
 	pkt.Handler = l.hBatchDel
 	c := &l.rt.NodeRT(mn.ID).C
 	c.BatchesSent++
 	c.BatchedMsgs += uint64(n)
-	l.tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, lb.dst, size)
+	if l.opt.Trace != nil {
+		l.tracef(at, mn.ID, trace.EvBatch, "batch of %d records to n%d (%dB)", n, lb.dst, size)
+	}
 	mn.ControllerSend(at, pkt)
 }
 
@@ -205,17 +207,12 @@ func (lb *linkBatch) reset() {
 }
 
 // wireBatch is the payload of a CatBatch packet: the coalesced records in
-// enqueue order, plus an optional piggybacked cumulative acknowledgment.
-// Containers are pooled like wireMsg records: the sender fills one from its
-// node's free list, the receiver recycles it into its own.
+// enqueue order. A piggybacked acknowledgment rides in the container
+// packet's transport header. Containers are pooled like wireMsg records:
+// the sender fills one from its node's free list, the receiver recycles it
+// into its own.
 type wireBatch struct {
 	pkts []*machine.Packet
-	// Piggybacked ack (for the reliable layer): the batch source
-	// acknowledges every seq < ackCum plus the listed out-of-order seqs on
-	// the reverse (batch destination -> batch source) data link.
-	hasAck bool
-	ackCum uint64
-	ackSel []uint64
 }
 
 func (l *Layer) acquireBatch(src int) *wireBatch {
@@ -231,9 +228,6 @@ func (l *Layer) acquireBatch(src int) *wireBatch {
 
 func (l *Layer) releaseBatch(dst int, wb *wireBatch) {
 	wb.pkts = wb.pkts[:0]
-	wb.hasAck = false
-	wb.ackCum = 0
-	wb.ackSel = wb.ackSel[:0]
 	ns := l.nodes[dst]
 	ns.batchFree = append(ns.batchFree, wb)
 }
@@ -244,8 +238,8 @@ func (l *Layer) releaseBatch(dst int, wb *wireBatch) {
 // the record had arrived as its own packet at the same instant.
 func (l *Layer) handleBatchArrive(rn *machine.Node, p *machine.Packet) {
 	wb := p.Payload.(*wireBatch)
-	if wb.hasAck {
-		l.rel.ackCumReceived(rn, p.Src, wb.ackCum, wb.ackSel)
+	if p.HasAck {
+		l.rel.ackCumReceived(rn, int(p.Src), p.AckCum, p.AckSel)
 	}
 	for _, sub := range wb.pkts {
 		sub.Src = p.Src
@@ -290,7 +284,7 @@ func (l *Layer) handleBatchDeliver(rn *machine.Node, p *machine.Packet) {
 // The boolean reports deferral, in which case the arrival time is not yet
 // known (zero).
 func (l *Layer) send(mn *machine.Node, pkt *machine.Packet) (sim.Time, bool) {
-	if l.bat != nil && pkt.Dst != mn.ID {
+	if l.bat != nil && int(pkt.Dst) != mn.ID {
 		l.bat.enqueue(mn, pkt)
 		return 0, true
 	}

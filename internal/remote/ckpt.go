@@ -2,10 +2,8 @@ package remote
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/sim"
 )
@@ -45,9 +43,8 @@ import (
 // the original send (wire-record pooling is disabled while checkpointing is
 // on — see wirePooled).
 type ckptRec struct {
-	size     int
-	category int
-	inner    func(*machine.Node, *machine.Packet)
+	size     int32
+	category uint8
 	payload  any
 }
 
@@ -84,14 +81,14 @@ func (l *Layer) EnableCheckpoint() {
 }
 
 // retain records one transmission for replay-after-rollback.
-func (ck *ckptState) retain(src, dst int, seq uint64, m *relMsg) {
+func (ck *ckptState) retain(src, dst int, m *relMsg) {
 	lk := &ck.links[src][dst]
 	if len(lk.recs) == 0 {
-		lk.base = seq
-	} else if want := lk.base + uint64(len(lk.recs)); seq != want {
-		panic(fmt.Sprintf("remote: retention gap on link %d->%d: seq %d, want %d", src, dst, seq, want))
+		lk.base = m.seq
+	} else if want := lk.base + uint64(len(lk.recs)); m.seq != want {
+		panic(fmt.Sprintf("remote: retention gap on link %d->%d: seq %d, want %d", src, dst, m.seq, want))
 	}
-	lk.recs = append(lk.recs, ckptRec{size: m.size, category: m.category, inner: m.inner, payload: m.payload})
+	lk.recs = append(lk.recs, ckptRec{size: m.size, category: m.category, payload: m.payload})
 }
 
 // RelImage is one node's inter-node-layer snapshot.
@@ -133,17 +130,22 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 		panic("remote: CaptureRel without EnableCheckpoint")
 	}
 	ns := l.nodes[node]
-	s := l.rel.senders[node]
-	rv := l.rel.receivers[node]
+	n := l.rt.Nodes()
 	im := &RelImage{
 		node:         node,
-		nextSeq:      append([]uint64(nil), s.nextSeq...),
-		nextExpected: append([]uint64(nil), rv.nextExpected...),
+		nextSeq:      make([]uint64, n),
+		nextExpected: make([]uint64, n),
 		rr:           ns.rr,
 		rrNext:       ns.rrNext,
 		rng:          ns.rng,
 		loads:        append([]int32(nil), ns.loads...),
 		loadAt:       append([]sim.Time(nil), ns.loadAt...),
+	}
+	for peer, lk := range l.rel.nodes[node].links {
+		if lk != nil {
+			im.nextSeq[peer] = lk.nextSeq
+			im.nextExpected[peer] = lk.nextExpected
+		}
 	}
 	im.bytes = 16*len(im.nextSeq) + 12*len(im.loads) + 16
 	if len(ns.stock) > 0 {
@@ -177,43 +179,24 @@ func (l *Layer) CaptureRel(node int) *RelImage {
 // restored.
 func (l *Layer) CkptTeardown() {
 	r := l.rel
-	n := l.rt.Nodes()
-	for src := 0; src < n; src++ {
-		s := r.senders[src]
-		for dst := 0; dst < n; dst++ {
-			pending := s.pending[dst]
-			if len(pending) == 0 {
+	for src := range r.nodes {
+		rs := &r.nodes[src]
+		for _, lk := range rs.links {
+			if lk == nil {
 				continue
 			}
-			seqs := s.scratch[:0]
-			for seq := range pending {
-				seqs = append(seqs, seq)
-			}
-			slices.Sort(seqs)
-			for _, seq := range seqs {
-				m := pending[seq]
+			for q := &lk.inflight; q.n > 0; {
+				m := q.buf[q.lo&uint64(len(q.buf)-1)]
 				m.acked = true
 				m.timer.Stop()
-				delete(pending, seq)
-				s.releaseMsg(m)
+				r.finish(src, lk, m)
 			}
-			s.scratch = seqs[:0]
+			lk.held = nil
+			lk.above = nil
+			lk.owed = 0
 		}
-		rv := r.receivers[src]
-		for d := range rv.held {
-			rv.held[d] = nil
-		}
-		if r.acks != nil {
-			a := r.acks[src]
-			a.timer.Stop()
-			for i := range a.above {
-				a.above[i] = nil
-			}
-			for i := range a.owed {
-				a.owed[i] = 0
-			}
-			a.owedTo = a.owedTo[:0]
-		}
+		rs.ackTimer.Stop()
+		rs.owedTo = rs.owedTo[:0]
 		if l.bat != nil {
 			if row := l.bat.links[src]; row != nil {
 				for _, lb := range row {
@@ -239,10 +222,18 @@ func (l *Layer) CkptTeardown() {
 // forgotten timeline.
 func (l *Layer) CkptRestoreNode(im *RelImage) {
 	ns := l.nodes[im.node]
-	s := l.rel.senders[im.node]
-	rv := l.rel.receivers[im.node]
-	copy(s.nextSeq, im.nextSeq)
-	copy(rv.nextExpected, im.nextExpected)
+	rs := &l.rel.nodes[im.node]
+	for peer, next := range im.nextSeq {
+		exp := im.nextExpected[peer]
+		if next == 0 && exp == 0 && (rs.links == nil || rs.links[peer] == nil) {
+			continue // an absent record already reads as zero
+		}
+		// The delayed-ack ledger restarts from the restored receive cursor:
+		// everything below it is consumed, nothing above has arrived in the
+		// restored timeline.
+		lk := l.rel.link(im.node, peer)
+		lk.nextSeq, lk.nextExpected, lk.cum = next, exp, exp
+	}
 	ns.rr, ns.rrNext, ns.rng = im.rr, im.rrNext, im.rng
 	copy(ns.loads, im.loads)
 	copy(ns.loadAt, im.loadAt)
@@ -268,13 +259,6 @@ func (l *Layer) CkptRestoreNode(im *RelImage) {
 		for k, v := range im.advert {
 			ns.advert[k] = v
 		}
-	}
-	if l.rel.acks != nil {
-		// The delayed-ack ledger restarts from the restored receive cursors:
-		// everything below them is consumed, nothing above has arrived in
-		// the restored timeline.
-		a := l.rel.acks[im.node]
-		copy(a.cum, im.nextExpected)
 	}
 }
 
@@ -315,36 +299,31 @@ func (l *Layer) CkptTruncate(imgs []*RelImage) {
 // armed against fresh event times. Returns the number of replayed records.
 func (l *Layer) CkptReplayNode(src int, imgs []*RelImage) int {
 	r := l.rel
-	s := r.senders[src]
 	mn := l.m.Node(src)
 	replayed := 0
 	for dst := 0; dst < l.rt.Nodes(); dst++ {
 		if dst == src {
 			continue
 		}
-		lk := &l.ck.links[src][dst]
-		if len(lk.recs) == 0 {
+		ret := &l.ck.links[src][dst]
+		if len(ret.recs) == 0 {
 			continue
 		}
 		start := 0
-		if from := imgs[dst].nextExpected[src]; from > lk.base {
-			start = int(from - lk.base)
+		if from := imgs[dst].nextExpected[src]; from > ret.base {
+			start = int(from - ret.base)
 		}
-		for i := start; i < len(lk.recs); i++ {
-			rec := &lk.recs[i]
-			m := r.acquireMsg(mn, s)
+		for i := start; i < len(ret.recs); i++ {
+			rec := &ret.recs[i]
+			m := r.acquireMsg(mn)
 			m.dst = dst
-			m.seq = lk.base + uint64(i)
+			m.seq = ret.base + uint64(i)
 			m.size = rec.size
 			m.category = rec.category
-			m.inner = rec.inner
 			m.payload = rec.payload
 			m.attempts = 0
 			m.acked = false
-			if s.pending[dst] == nil {
-				s.pending[dst] = make(map[uint64]*relMsg)
-			}
-			s.pending[dst][m.seq] = m
+			r.pend(src, r.link(src, dst), m)
 			replayed++
 			r.xmit(mn, m)
 		}
@@ -394,8 +373,8 @@ func (l *Layer) SendCkpt(src, dst, extraBytes int, fn func()) {
 	w.load = l.piggyback(src)
 	w.then = fn
 	pkt := mn.AcquirePacket()
-	pkt.Dst = dst
-	pkt.Size = packetHeaderBytes + extraBytes
+	pkt.Dst = int32(dst)
+	pkt.Size = int32(packetHeaderBytes + extraBytes)
 	pkt.Category = CatCkpt
 	pkt.Handler = l.hWire
 	pkt.Payload = w

@@ -137,16 +137,17 @@ type wireMsg struct {
 	src       int
 	load      int32
 	kind      uint8
-	to        core.Address   // wmMessage: receiver
+	needInit  bool           // wmMigrate: args are the constructor args of an uninitialized object
+	to        core.Address   // wmMessage: receiver; wmMigrated: the object's new address
 	pat       core.PatternID // wmMessage: pattern
-	args      []core.Value   // message or constructor arguments (owned copy)
+	args      []core.Value   // message or constructor arguments (owned copy); wmMigrate: the image
 	argBuf    [2]core.Value  // inline store backing args for small lists
 	replyTo   core.Address
-	chunk     *core.Object // wmCreate: chunk to initialize; wmChunk: stock refill
+	chunk     *core.Object // wmCreate: chunk to initialize; wmChunk: stock refill; wmMigrate/wmMigrated: the migrating object
 	cl        *core.Class
 	entry     *stockEntry        // requester's stock slot, carried through the round trip
 	then      func()             // wmChunk: blocked-creation resume
-	onCreated func(core.Address) // wmBlockingCreate: requester callback
+	onCreated func(core.Address) // wmBlockingCreate: requester callback; wmMigrate/wmMigrated: Migrate's onDone
 	next      *wireMsg           // free-list link while recycled
 }
 
@@ -155,8 +156,10 @@ const (
 	wmCreate
 	wmBlockingCreate
 	wmChunk
-	wmLocUpd // location update: `to` moved to `replyTo` (forward short-circuit)
-	wmCkpt   // checkpoint-protocol control: `then` runs at the receiver
+	wmLocUpd   // location update: `to` moved to `replyTo` (forward short-circuit)
+	wmCkpt     // checkpoint-protocol control: `then` runs at the receiver
+	wmMigrate  // migration transfer: materialize `chunk`'s image at the target
+	wmMigrated // migration ack: install the forwarder at the old home
 )
 
 // setArgs copies args into the record — inline when they fit, a fresh slice
@@ -290,6 +293,19 @@ func (l *Layer) handleWire(rn *machine.Node, p *machine.Packet) {
 		}
 		if w.then != nil {
 			w.then()
+		}
+	case wmMigrate:
+		// Migration is a category-4 service handled outside the batch
+		// extraction discount: it always pays full extraction.
+		rn.Charge(c.RemoteRecvExtract + c.RemoteHandlerCall + c.MigrateUnpack)
+		l.profCharge(rn, profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall+c.MigrateUnpack)
+		l.adoptMigrated(nrt, w)
+	case wmMigrated:
+		rn.Charge(c.RemoteRecvExtract + c.RemoteHandlerCall)
+		l.profCharge(rn, profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall)
+		l.rt.CompleteMigration(nrt, w.chunk, w.to)
+		if w.onCreated != nil {
+			w.onCreated(w.to)
 		}
 	default:
 		panic(fmt.Sprintf("remote: unknown wire kind %d", w.kind))
@@ -433,17 +449,23 @@ type statsSink struct{ l *Layer }
 
 func (s statsSink) PacketDropped(src, dst int, at sim.Time, category int) {
 	s.l.rt.NodeRT(src).C.LinkDrops++
-	s.l.tracef(at, src, trace.EvLinkDrop, "dropped cat-%d packet to n%d", category, dst)
+	if s.l.opt.Trace != nil {
+		s.l.tracef(at, src, trace.EvLinkDrop, "dropped cat-%d packet to n%d", category, dst)
+	}
 }
 
 func (s statsSink) PacketDuplicated(src, dst int, at sim.Time, category int) {
 	s.l.rt.NodeRT(src).C.LinkDups++
-	s.l.tracef(at, src, trace.EvLinkDup, "duplicated cat-%d packet to n%d", category, dst)
+	if s.l.opt.Trace != nil {
+		s.l.tracef(at, src, trace.EvLinkDup, "duplicated cat-%d packet to n%d", category, dst)
+	}
 }
 
 func (s statsSink) NodePaused(node int, at, until sim.Time) {
 	s.l.rt.NodeRT(node).C.NodePauses++
-	s.l.tracef(at, node, trace.EvNodePause, "paused until %v", until)
+	if s.l.opt.Trace != nil {
+		s.l.tracef(at, node, trace.EvNodePause, "paused until %v", until)
+	}
 }
 
 // transmit sends a packet either directly over the machine's interconnect
@@ -455,7 +477,7 @@ func (l *Layer) transmit(mn *machine.Node, pkt *machine.Packet) {
 	// containers and retransmitted copies are attributed at their own sites
 	// so nothing is counted twice.
 	if np := l.prof(mn.ID); np != nil {
-		np.Packet(pathForCategory(pkt.Category), pkt.Size, mn.Now())
+		np.Packet(pathForCategory(pkt.Category), int(pkt.Size), mn.Now())
 	}
 	if l.rel != nil {
 		l.rel.send(mn, pkt)
@@ -467,7 +489,8 @@ func (l *Layer) transmit(mn *machine.Node, pkt *machine.Packet) {
 // Reliable reports whether the ack/retry protocol is active.
 func (l *Layer) Reliable() bool { return l.rel != nil }
 
-// tracef records a reliable-delivery event when tracing is enabled.
+// tracef records a layer event. Callers check l.opt.Trace first, so an
+// untraced run never boxes the arguments.
 func (l *Layer) tracef(at sim.Time, node int, kind trace.Kind, format string, args ...any) {
 	if l.opt.Trace != nil {
 		l.opt.Trace.Event(trace.Event{
@@ -496,7 +519,7 @@ func (l *Layer) profCharge(mn *machine.Node, p profile.Path, instr int) {
 }
 
 // pathForCategory maps a packet category to its attribution path.
-func pathForCategory(cat int) profile.Path {
+func pathForCategory(cat uint8) profile.Path {
 	switch cat {
 	case CatMessage:
 		return profile.RemoteSend
@@ -585,8 +608,8 @@ func (l *Layer) SendMessage(n *core.NodeRT, to core.Address, p core.PatternID, a
 	w.setArgs(args)
 	w.replyTo = replyTo
 	pkt := mn.AcquirePacket()
-	pkt.Dst = to.Node
-	pkt.Size = size
+	pkt.Dst = int32(to.Node)
+	pkt.Size = int32(size)
 	pkt.Category = CatMessage
 	pkt.Handler = l.hWire
 	pkt.Payload = w
@@ -687,8 +710,8 @@ func (l *Layer) sendCreateRequest(n *core.NodeRT, target int, chunk *core.Object
 	w.setArgs(ctorArgs)
 	w.entry = e
 	pkt := sn.AcquirePacket()
-	pkt.Dst = target
-	pkt.Size = packetHeaderBytes + 8 + core.ArgsSize(ctorArgs)
+	pkt.Dst = int32(target)
+	pkt.Size = int32(packetHeaderBytes + 8 + core.ArgsSize(ctorArgs))
 	pkt.Category = CatCreate
 	pkt.Handler = l.hWire
 	pkt.Payload = w
@@ -713,8 +736,8 @@ func (l *Layer) sendBlockingCreate(n *core.NodeRT, target int, cl *core.Class, c
 	w.entry = e
 	w.onCreated = onCreated
 	pkt := sn.AcquirePacket()
-	pkt.Dst = target
-	pkt.Size = packetHeaderBytes + core.ArgsSize(ctorArgs)
+	pkt.Dst = int32(target)
+	pkt.Size = int32(packetHeaderBytes + core.ArgsSize(ctorArgs))
 	pkt.Category = CatCreate
 	pkt.Handler = l.hWire
 	pkt.Payload = w
@@ -738,7 +761,7 @@ func (l *Layer) sendChunkReply(n *core.NodeRT, requester int, chunk *core.Object
 	w.entry = e
 	w.then = then
 	pkt := sn.AcquirePacket()
-	pkt.Dst = requester
+	pkt.Dst = int32(requester)
 	pkt.Size = packetHeaderBytes + 8
 	pkt.Category = CatChunk
 	pkt.Handler = l.hWire
@@ -786,13 +809,15 @@ func (l *Layer) advertiseLocation(rn *machine.Node, src int, stale, fwd core.Add
 	w.to = stale
 	w.replyTo = final
 	pkt := rn.AcquirePacket()
-	pkt.Dst = src
+	pkt.Dst = int32(src)
 	pkt.Size = packetHeaderBytes + 16 // stale + authoritative address
 	pkt.Category = CatService
 	pkt.Handler = l.hWire
 	pkt.Payload = w
-	l.tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
-		"advertise to n%d: object moved n%d -> n%d", src, stale.Node, final.Node)
+	if l.opt.Trace != nil {
+		l.tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
+			"advertise to n%d: object moved n%d -> n%d", src, stale.Node, final.Node)
+	}
 	l.transmit(rn, pkt)
 }
 
@@ -815,8 +840,10 @@ func (l *Layer) learnLocation(rn *machine.Node, stale, fresh core.Address) {
 		cc.LocCacheInvalidates++
 	}
 	ns.locCache[stale] = fresh
-	l.tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
-		"learned: n%d object now at n%d", stale.Node, fresh.Node)
+	if l.opt.Trace != nil {
+		l.tracef(rn.Now(), rn.ID, trace.EvLocUpdate,
+			"learned: n%d object now at n%d", stale.Node, fresh.Node)
+	}
 }
 
 // LocationCache reports whether the remote-location cache is enabled.

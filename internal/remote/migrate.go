@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/profile"
 )
 
@@ -19,10 +18,15 @@ import (
 //
 //  1. the owner extracts the object's state and switches the old object to
 //     fault mode (messages arriving mid-transfer buffer there);
-//  2. a category-4 packet carries class identity and state to the target,
-//     which materializes the object (a chunk adopting the state);
-//  3. a category-4 ack returns the new address; the owner installs the
-//     forwarder and flushes anything buffered during the transfer.
+//  2. a category-4 packet (wire kind wmMigrate) carries class identity and
+//     state to the target, which materializes the object (a chunk adopting
+//     the state);
+//  3. a category-4 ack (wmMigrated) returns the new address; the owner
+//     installs the forwarder and flushes anything buffered during the
+//     transfer.
+//
+// Both are ordinary wire records handled by handleWire, so every data
+// packet of the layer has the same receive handler.
 
 // Migrate moves a quiescent dormant object from its current node to target.
 // onDone (optional) observes the new address once the forwarder is
@@ -47,49 +51,66 @@ func (l *Layer) Migrate(obj *core.Object, target int, onDone func(core.Address))
 		return fmt.Errorf("remote: cannot migrate multiactive object of class %s", cl.Name)
 	}
 	n := l.rt.NodeRT(src)
+	mn := n.MachineNode()
 	c := l.cost()
 
 	image := l.rt.BeginMigration(n, obj) // old object now buffers
 	n.C.Migrations++
-	n.MachineNode().Charge(c.RemoteSendSetup + c.MigratePack)
-	l.profCharge(n.MachineNode(), profile.Forward, c.RemoteSendSetup+c.MigratePack)
+	mn.Charge(c.RemoteSendSetup + c.MigratePack)
+	l.profCharge(mn, profile.Forward, c.RemoteSendSetup+c.MigratePack)
 
-	size := packetHeaderBytes + image.SizeBytes()
-	load := l.piggyback(src)
-	l.transmit(n.MachineNode(), &machine.Packet{
-		Dst:      target,
-		Size:     size,
-		Category: CatService,
-		Handler: func(mn *machine.Node, pkt *machine.Packet) {
-			mn.Charge(c.RemoteRecvExtract + c.RemoteHandlerCall + c.MigrateUnpack)
-			l.profCharge(mn, profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall+c.MigrateUnpack)
-			l.noteLoad(mn.ID, src, load, pkt.Arrival)
-			tn := l.rt.NodeRT(mn.ID)
-			// Materialize at the target: a chunk adopting the class + state.
-			moved := l.rt.NewFaultChunk(mn.ID)
-			l.rt.InitChunk(tn, moved, cl, nil)
-			l.rt.AdoptMigratedState(tn, moved, cl, image)
-			addr := moved.Addr()
-			// Ack with the new address; the owner installs the forwarder.
-			tn.MachineNode().Charge(c.RemoteSendSetup)
-			l.profCharge(tn.MachineNode(), profile.Forward, c.RemoteSendSetup)
-			ackLoad := l.piggyback(mn.ID)
-			l.transmit(tn.MachineNode(), &machine.Packet{
-				Dst:      src,
-				Size:     packetHeaderBytes + 8,
-				Category: CatService,
-				Handler: func(mn2 *machine.Node, pkt2 *machine.Packet) {
-					mn2.Charge(c.RemoteRecvExtract + c.RemoteHandlerCall)
-					l.profCharge(mn2, profile.Forward, c.RemoteRecvExtract+c.RemoteHandlerCall)
-					l.noteLoad(mn2.ID, mn.ID, ackLoad, pkt2.Arrival)
-					on := l.rt.NodeRT(mn2.ID)
-					l.rt.CompleteMigration(on, obj, addr)
-					if onDone != nil {
-						onDone(addr)
-					}
-				},
-			})
-		},
-	})
+	w := l.acquireWire(src)
+	w.kind = wmMigrate
+	w.src = src
+	w.load = l.piggyback(src)
+	w.chunk = obj
+	w.cl = cl
+	// The image rides by reference, never through argBuf: the target's
+	// object may keep the constructor arguments after the record recycles.
+	w.needInit = image.NeedInit
+	w.args = image.State
+	if image.NeedInit {
+		w.args = image.CtorArgs
+	}
+	w.onCreated = onDone
+	pkt := mn.AcquirePacket()
+	pkt.Dst = int32(target)
+	pkt.Size = int32(packetHeaderBytes + image.SizeBytes())
+	pkt.Category = CatService
+	pkt.Handler = l.hWire
+	pkt.Payload = w
+	l.transmit(mn, pkt)
 	return nil
+}
+
+// adoptMigrated runs at the migration target: materialize the object (a
+// chunk adopting class + state) and ack with its new address; the owner
+// installs the forwarder when the ack arrives.
+func (l *Layer) adoptMigrated(tn *core.NodeRT, w *wireMsg) {
+	image := core.MigrationState{NeedInit: w.needInit}
+	if w.needInit {
+		image.CtorArgs = w.args
+	} else {
+		image.State = w.args
+	}
+	moved := l.rt.NewFaultChunk(tn.ID())
+	l.rt.InitChunk(tn, moved, w.cl, nil)
+	l.rt.AdoptMigratedState(tn, moved, w.cl, image)
+	mn := tn.MachineNode()
+	mn.Charge(l.cost().RemoteSendSetup)
+	l.profCharge(mn, profile.Forward, l.cost().RemoteSendSetup)
+	ack := l.acquireWire(tn.ID())
+	ack.kind = wmMigrated
+	ack.src = tn.ID()
+	ack.load = l.piggyback(tn.ID())
+	ack.chunk = w.chunk
+	ack.to = moved.Addr()
+	ack.onCreated = w.onCreated
+	pkt := mn.AcquirePacket()
+	pkt.Dst = int32(w.src)
+	pkt.Size = packetHeaderBytes + 8
+	pkt.Category = CatService
+	pkt.Handler = l.hWire
+	pkt.Payload = ack
+	l.transmit(mn, pkt)
 }

@@ -1,6 +1,9 @@
 package remote
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -16,15 +19,15 @@ import (
 // speculative release would rewrite them. With pooling off, every record is
 // immutable from fill to collection.
 //
-// The snapshot itself is lane-owned by construction: senders[n], the
-// batcher's links[n] row, the retention links[n] row and nodeState[n] are
-// only touched from node n's lane (acks arrive back on the sender's lane),
-// and receivers[n]/acks[n] only from the receiving lane — so each node's
-// capture runs race-free on its own worker. Embedded sim.Timer values
-// (retransmission, batch flush, delayed ack) are restored by the engine's
-// own timer snapshot; the value copies taken here restore the surrounding
-// record fields and coincide with the engine's values, both being taken at
-// the same capture instant.
+// The snapshot itself is lane-owned by construction: the reliable layer's
+// nodes[n] (every link record of node n), the batcher's links[n] row, the
+// retention links[n] row and nodeState[n] are only touched from node n's
+// lane (acks arrive back on the sender's lane, data on the receiver's) — so
+// each node's capture runs race-free on its own worker. Embedded sim.Timer
+// values (retransmission, batch flush, delayed ack) are restored by the
+// engine's own timer snapshot; the value copies taken here restore the
+// surrounding record fields and coincide with the engine's values, both
+// being taken at the same capture instant.
 
 // EnableOptimistic switches the layer into optimistic-execution mode.
 // Call before Run, after Attach and after the reliable protocol (if any)
@@ -32,8 +35,8 @@ import (
 func (l *Layer) EnableOptimistic() {
 	l.optim = true
 	if l.rel != nil {
-		for _, s := range l.rel.senders {
-			s.noPool = true
+		for i := range l.rel.nodes {
+			l.rel.nodes[i].noPool = true
 		}
 	}
 }
@@ -53,6 +56,14 @@ type stockSnap struct {
 type savedRel struct {
 	m *relMsg
 	v relMsg
+}
+
+// savedLink pairs a link record with its captured value. The in-flight
+// ring, reorder buffer and selective-ack list are copies: the live record
+// mutates them in place.
+type savedLink struct {
+	lk *relLink
+	v  relLink
 }
 
 // lbSnap is the captured state of one open link batch (lb nil: the link had
@@ -76,19 +87,11 @@ type NodeSnap struct {
 	locCache   map[core.Address]core.Address
 	advert     map[advertKey]core.Address
 
-	// Reliable protocol: sending half (sequence cursors, in-flight records
-	// with their values), receiving half (expectation cursors, reorder
-	// buffer), delayed-ack ledger.
-	nextSeq      []uint64
-	pending      []map[uint64]*relMsg
-	pendingVals  []savedRel
-	nextExpected []uint64
-	held         []map[uint64]*heldDelivery
-	ackCum       []uint64
-	ackAbove     [][]uint64
-	ackOwed      []int
-	ackOwedSince []sim.Time
-	ackOwedTo    []int
+	// Reliable protocol: every link record in peer order, the values of
+	// the in-flight records, and the delayed-ack schedule.
+	links       []savedLink
+	pendingVals []savedRel
+	ackOwedTo   []int
 
 	bat []lbSnap // per destination; nil slice when batching is off
 	ret []int    // retention record counts per destination; nil without ckpt
@@ -123,45 +126,23 @@ func (l *Layer) OptCaptureNode(node int) *NodeSnap {
 		}
 	}
 	if r := l.rel; r != nil {
-		sn := r.senders[node]
-		s.nextSeq = append([]uint64(nil), sn.nextSeq...)
-		s.pending = make([]map[uint64]*relMsg, len(sn.pending))
-		for dst, pm := range sn.pending {
-			if pm == nil {
+		rs := &r.nodes[node]
+		for _, lk := range rs.links {
+			if lk == nil {
 				continue
 			}
-			cp := make(map[uint64]*relMsg, len(pm))
-			for seq, m := range pm {
-				cp[seq] = m
-				s.pendingVals = append(s.pendingVals, savedRel{m: m, v: *m})
-			}
-			s.pending[dst] = cp
-		}
-		rv := r.receivers[node]
-		s.nextExpected = append([]uint64(nil), rv.nextExpected...)
-		s.held = make([]map[uint64]*heldDelivery, len(rv.held))
-		for src, hm := range rv.held {
-			if hm == nil {
-				continue
-			}
-			cp := make(map[uint64]*heldDelivery, len(hm))
-			for seq, h := range hm {
-				cp[seq] = h
-			}
-			s.held[src] = cp
-		}
-		if r.acks != nil {
-			if a := r.acks[node]; a != nil {
-				s.ackCum = append([]uint64(nil), a.cum...)
-				s.ackAbove = make([][]uint64, len(a.above))
-				for i, ab := range a.above {
-					s.ackAbove[i] = append([]uint64(nil), ab...)
+			v := *lk
+			v.inflight.buf = slices.Clone(lk.inflight.buf)
+			v.held = maps.Clone(lk.held)
+			v.above = slices.Clone(lk.above)
+			s.links = append(s.links, savedLink{lk: lk, v: v})
+			for _, m := range lk.inflight.buf {
+				if m != nil {
+					s.pendingVals = append(s.pendingVals, savedRel{m: m, v: *m})
 				}
-				s.ackOwed = append([]int(nil), a.owed...)
-				s.ackOwedSince = append([]sim.Time(nil), a.owedSince...)
-				s.ackOwedTo = append([]int(nil), a.owedTo...)
 			}
 		}
+		s.ackOwedTo = slices.Clone(rs.owedTo)
 	}
 	if b := l.bat; b != nil {
 		s.bat = make([]lbSnap, len(b.links))
@@ -216,24 +197,25 @@ func (l *Layer) OptRestoreNode(node int, s *NodeSnap) {
 	ns.locCache = s.locCache
 	ns.advert = s.advert
 	if r := l.rel; r != nil {
-		sn := r.senders[node]
-		copy(sn.nextSeq, s.nextSeq)
-		copy(sn.pending, s.pending)
+		// Records allocated after the capture revert to zero, which reads
+		// exactly like an absent record.
+		rs := &r.nodes[node]
+		saved := s.links
+		for _, lk := range rs.links {
+			if lk == nil {
+				continue
+			}
+			if len(saved) > 0 && saved[0].lk == lk {
+				*lk = saved[0].v
+				saved = saved[1:]
+			} else {
+				*lk = relLink{}
+			}
+		}
 		for _, sv := range s.pendingVals {
 			*sv.m = sv.v
 		}
-		rv := r.receivers[node]
-		copy(rv.nextExpected, s.nextExpected)
-		copy(rv.held, s.held)
-		if r.acks != nil {
-			if a := r.acks[node]; a != nil {
-				copy(a.cum, s.ackCum)
-				copy(a.above, s.ackAbove)
-				copy(a.owed, s.ackOwed)
-				copy(a.owedSince, s.ackOwedSince)
-				a.owedTo = append(a.owedTo[:0:0], s.ackOwedTo...)
-			}
-		}
+		rs.owedTo = append(rs.owedTo[:0:0], s.ackOwedTo...)
 	}
 	if b := l.bat; b != nil {
 		if row := b.links[node]; row != nil {

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -360,5 +361,121 @@ func TestLocationCacheInvalidate(t *testing.T) {
 	}
 	if got := l.nodes[0].locCache[stale]; got != freshB {
 		t.Errorf("cache maps stale object to %+v, want %+v", got, freshB)
+	}
+}
+
+// lateDup duplicates the first data copy on the 0 -> 1 link and delays the
+// extra copy by delay; everything else is delivered normally.
+type lateDup struct {
+	delay sim.Time
+	done  bool
+}
+
+func (f *lateDup) Link(src, dst int, at sim.Time, size int) (int, [2]sim.Time) {
+	if src == 0 && dst == 1 && !f.done {
+		f.done = true
+		return 2, [2]sim.Time{0, f.delay}
+	}
+	return 1, [2]sim.Time{}
+}
+
+func (f *lateDup) PausedUntil(node int, at sim.Time) sim.Time { return at }
+
+// A straggler copy must be judged by its own header, not by the sender's
+// record: the late duplicate of seq 0 arrives after seq 0 was acked and its
+// relMsg recycled for seq 1, and is suppressed rather than delivered.
+func TestReliableLateDuplicateAfterRecycle(t *testing.T) {
+	m, err := machine.New(machine.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetFaults(&lateDup{delay: 500 * sim.Microsecond})
+	rt := core.NewRuntime(m, core.Options{})
+	l := Attach(rt, Options{StockDepth: 2, Placement: RoundRobin{}, Seed: 1, Reliable: true})
+	inc := rt.Reg.Register("late.inc", 1)
+	kick := rt.Reg.Register("late.kick", 1)
+	var order []int64
+	var target core.Address
+	cnt := rt.DefineClass("late.counter", 0, nil)
+	cnt.Method(inc, func(ctx *core.Ctx) { order = append(order, ctx.Arg(0).Int()) })
+	snd := rt.DefineClass("late.sender", 0, nil)
+	snd.Method(kick, func(ctx *core.Ctx) { ctx.SendPast(target, inc, ctx.Arg(0)) })
+	target = rt.NewObjectOn(1, cnt)
+	s := rt.NewObjectOn(0, snd)
+
+	// Seq 0: delivered and acked long before its late copy lands, and its
+	// stopped retransmission slot has popped, so the record is reusable.
+	rt.Inject(s, kick, core.IntV(0))
+	rt.Freeze()
+	const second = 300 * sim.Microsecond
+	if _, err := m.Eng.RunUntil(second); err != nil {
+		t.Fatal(err)
+	}
+	rs := &l.rel.nodes[0]
+	if len(order) != 1 || len(rs.retired)+len(rs.free) != 1 {
+		t.Fatalf("before seq 1: delivered %v, %d idle records; want [0] and 1", order, len(rs.retired)+len(rs.free))
+	}
+	rec := slices.Concat(rs.retired, rs.free)[0]
+
+	// Seq 1 reuses the record, then the seq-0 straggler arrives.
+	m.Node(0).SyncClock(second)
+	rt.Inject(s, kick, core.IntV(1))
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("delivered %v, want [0 1]", order)
+	}
+	if idle := slices.Concat(rs.retired, rs.free); len(idle) != 1 || idle[0] != rec {
+		t.Fatalf("seq 1 did not reuse seq 0's record (%d idle records)", len(idle))
+	}
+	c := rt.TotalStats()
+	if c.DupSuppressed != 1 || c.RelDelivered != 2 || c.LinkDups != 1 {
+		t.Errorf("dups suppressed=%d delivered=%d link dups=%d, want 1/2/1",
+			c.DupSuppressed, c.RelDelivered, c.LinkDups)
+	}
+}
+
+// Per-link protocol records are allocated on a link's first packet, not
+// when the layer is built: a 256-node system carries 65,280 directed links,
+// of which a run typically uses a small fraction.
+func TestReliableLinkRecordsAreLazy(t *testing.T) {
+	const nodes = 256
+	rt, l := buildFaultyOpts(t, nodes, fault.Plan{}, Options{
+		StockDepth: 2, Placement: RoundRobin{}, Seed: 1, Reliable: true,
+		AckDelay: 50 * sim.Microsecond,
+	}, 1)
+	links := func() (rows, recs int) {
+		for i := range l.rel.nodes {
+			if row := l.rel.nodes[i].links; row != nil {
+				rows++
+				for _, lk := range row {
+					if lk != nil {
+						recs++
+					}
+				}
+			}
+		}
+		return rows, recs
+	}
+	if rows, recs := links(); rows != 0 || recs != 0 {
+		t.Fatalf("before the first send: %d link rows, %d records; want none", rows, recs)
+	}
+	inc := rt.Reg.Register("lazy.inc", 0)
+	kick := rt.Reg.Register("lazy.kick", 0)
+	var target core.Address
+	cnt := rt.DefineClass("lazy.counter", 0, nil)
+	cnt.Method(inc, func(ctx *core.Ctx) {})
+	snd := rt.DefineClass("lazy.sender", 0, nil)
+	snd.Method(kick, func(ctx *core.Ctx) { ctx.SendPast(target, inc) })
+	target = rt.NewObjectOn(1, cnt)
+	rt.Inject(rt.NewObjectOn(0, snd), kick)
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// One message: the sender's record for the receiver, and the receiver's
+	// for the sender.
+	if rows, recs := links(); rows != 2 || recs != 2 {
+		t.Errorf("after one message: %d link rows, %d records; want 2 and 2", rows, recs)
 	}
 }
